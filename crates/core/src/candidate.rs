@@ -55,7 +55,7 @@ pub fn candidate_body(tree: &SliceTree, trigger: NodeId) -> Body {
 mod tests {
     use super::*;
     use preexec_isa::{Inst, Op, Pc, Reg};
-    use preexec_slice::SliceEntry;
+    use preexec_slice::{DepPositions, SliceEntry};
 
     /// Builds the single-path tree for the paper's left-hand slice:
     /// #09 <- #08 <- #07 <- #04 <- #11 <- #11 <- #11 with the paper's
@@ -65,22 +65,22 @@ mod tests {
             pc: 9,
             inst: Inst::load(Op::Lw, Reg::new(8), Reg::new(7), 0),
             dist: 0,
-            dep_positions: vec![1],
+            dep_positions: DepPositions::from_slice(&[1]).unwrap(),
         };
-        let mk = |pc: Pc, inst: Inst, dist: u64, deps: Vec<u32>| SliceEntry {
+        let mk = |pc: Pc, inst: Inst, dist: u64, deps: &[u32]| SliceEntry {
             pc,
             inst,
             dist,
-            dep_positions: deps,
+            dep_positions: DepPositions::from_slice(deps).unwrap(),
         };
         let slice = vec![
             root.clone(),
-            mk(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, vec![2]),
-            mk(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, vec![3]),
-            mk(4, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 4), 4, vec![4]),
-            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 11, vec![5]),
-            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 24, vec![6]),
-            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 37, vec![]),
+            mk(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, &[2]),
+            mk(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, &[3]),
+            mk(4, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 4), 4, &[4]),
+            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 11, &[5]),
+            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 24, &[6]),
+            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 37, &[]),
         ];
         let mut t = SliceTree::new(9, root.inst);
         t.insert_slice(&slice);
@@ -137,13 +137,13 @@ mod tests {
             pc: 1,
             inst: Inst::load(Op::Ld, Reg::new(2), Reg::new(1), 0),
             dist: 0,
-            dep_positions: vec![1],
+            dep_positions: DepPositions::from_slice(&[1]).unwrap(),
         };
         let near = SliceEntry {
             pc: 0,
             inst: Inst::itype(Op::Addi, Reg::new(1), Reg::new(1), 8),
             dist: 1,
-            dep_positions: vec![],
+            dep_positions: DepPositions::from_slice(&[]).unwrap(),
         };
         let mut t = SliceTree::new(1, root.inst);
         t.insert_slice(&[root, near]);

@@ -272,20 +272,21 @@ mod tests {
     /// A pure-chain tree (single leaf): root load plus `depth` dependent
     /// induction addis, one slice, `DC_pt-cm = 1` everywhere.
     fn chain_tree(depth: usize) -> SliceTree {
-        use preexec_slice::SliceEntry;
+        use preexec_slice::{DepPositions, SliceEntry};
         let p = assemble("chain", "ld r4, 0(r1)\n addi r1, r1, 64\n halt").unwrap();
         let mut slice = vec![SliceEntry {
             pc: 0,
             inst: *p.inst(0),
             dist: 0,
-            dep_positions: vec![1],
+            dep_positions: DepPositions::from_slice(&[1]).unwrap(),
         }];
         for d in 1..=depth {
             slice.push(SliceEntry {
                 pc: 1,
                 inst: *p.inst(1),
                 dist: d as u64,
-                dep_positions: if d < depth { vec![d as u32 + 1] } else { vec![] },
+                dep_positions: DepPositions::from_slice((d < depth).then_some(d as u32 + 1).as_slice())
+                    .unwrap(),
             });
         }
         let mut tree = SliceTree::new(0, *p.inst(0));

@@ -20,14 +20,15 @@
 use crate::advantage::aggregate_advantage;
 use crate::{candidate_body, solve_tree, SelectionParams};
 use preexec_isa::{Inst, Op, Pc, Reg};
-use preexec_slice::{SliceEntry, SliceTree};
+use preexec_slice::{DepPositions, SliceEntry, SliceTree};
 
 fn r(n: u8) -> Reg {
     Reg::new(n)
 }
 
-fn entry(pc: Pc, inst: Inst, dist: u64, deps: Vec<u32>) -> SliceEntry {
-    SliceEntry { pc, inst, dist, dep_positions: deps }
+fn entry(pc: Pc, inst: Inst, dist: u64, deps: &[u32]) -> SliceEntry {
+    let dep_positions = DepPositions::from_slice(deps).expect("at most 3 positions");
+    SliceEntry { pc, inst, dist, dep_positions }
 }
 
 /// Instruction #09: `lw r8, 0(r7)` — the problem load.
@@ -40,16 +41,16 @@ fn root_inst() -> Inst {
 /// (#00 #01 #02 #03 #04 #05 #07 #08 #09 #10 #11 #12 #13).
 fn left_slice(unrollings: usize) -> Vec<SliceEntry> {
     let mut s = vec![
-        entry(9, root_inst(), 0, vec![1]),
-        entry(8, Inst::itype(Op::Addi, r(7), r(7), 4096), 1, vec![2]),
-        entry(7, Inst::itype(Op::Sll, r(7), r(7), 2), 2, vec![3]),
-        entry(4, Inst::load(Op::Lw, r(7), r(5), 4), 4, vec![4]),
+        entry(9, root_inst(), 0, &[1]),
+        entry(8, Inst::itype(Op::Addi, r(7), r(7), 4096), 1, &[2]),
+        entry(7, Inst::itype(Op::Sll, r(7), r(7), 2), 2, &[3]),
+        entry(4, Inst::load(Op::Lw, r(7), r(5), 4), 4, &[4]),
     ];
     // Induction copies: #11 of iteration i-1 is 11 instructions before
     // #09 of iteration i; each further copy is 13 earlier.
     for u in 0..unrollings {
         let dist = 11 + 13 * u as u64;
-        let dep = if u + 1 < unrollings { vec![5 + u as u32] } else { vec![] };
+        let dep: &[u32] = if u + 1 < unrollings { &[5 + u as u32] } else { &[] };
         s.push(entry(11, Inst::itype(Op::Addi, r(5), r(5), 16), dist, dep));
     }
     s
@@ -58,14 +59,14 @@ fn left_slice(unrollings: usize) -> Vec<SliceEntry> {
 /// One dynamic slice along the #06 path (generic drug id, offset 8).
 fn right_slice(unrollings: usize) -> Vec<SliceEntry> {
     let mut s = vec![
-        entry(9, root_inst(), 0, vec![1]),
-        entry(8, Inst::itype(Op::Addi, r(7), r(7), 4096), 1, vec![2]),
-        entry(7, Inst::itype(Op::Sll, r(7), r(7), 2), 2, vec![3]),
-        entry(6, Inst::load(Op::Lw, r(7), r(5), 8), 3, vec![4]),
+        entry(9, root_inst(), 0, &[1]),
+        entry(8, Inst::itype(Op::Addi, r(7), r(7), 4096), 1, &[2]),
+        entry(7, Inst::itype(Op::Sll, r(7), r(7), 2), 2, &[3]),
+        entry(6, Inst::load(Op::Lw, r(7), r(5), 8), 3, &[4]),
     ];
     for u in 0..unrollings {
         let dist = 10 + 12 * u as u64;
-        let dep = if u + 1 < unrollings { vec![5 + u as u32] } else { vec![] };
+        let dep: &[u32] = if u + 1 < unrollings { &[5 + u as u32] } else { &[] };
         s.push(entry(11, Inst::itype(Op::Addi, r(5), r(5), 16), dist, dep));
     }
     s
@@ -88,7 +89,7 @@ fn figure3_tree() -> SliceTree {
 /// 100 iterations; #08/#07/#09 execute 80 times; #04 60; #06 20; #11 100.
 fn dc_trig(pc: Pc) -> u64 {
     match pc {
-        7 | 8 | 9 => 80,
+        7..=9 => 80,
         4 => 60,
         6 => 20,
         11 => 100,
@@ -219,13 +220,13 @@ fn overlap_reduction_triggers_when_parent_and_child_selected() {
     // 50 misses take a short, high-distance path through #05 (so even the
     // shallow candidate has fetch advantage), 50 extend deeper through #04.
     let short: Vec<SliceEntry> = vec![
-        entry(9, root_inst(), 0, vec![1]),
-        entry(5, Inst::itype(Op::Addi, r(7), r(7), 8), 20, vec![]),
+        entry(9, root_inst(), 0, &[1]),
+        entry(5, Inst::itype(Op::Addi, r(7), r(7), 8), 20, &[]),
     ];
     let long: Vec<SliceEntry> = vec![
-        entry(9, root_inst(), 0, vec![1]),
-        entry(5, Inst::itype(Op::Addi, r(7), r(7), 8), 20, vec![2]),
-        entry(4, Inst::itype(Op::Addi, r(7), r(7), 8), 40, vec![]),
+        entry(9, root_inst(), 0, &[1]),
+        entry(5, Inst::itype(Op::Addi, r(7), r(7), 8), 20, &[2]),
+        entry(4, Inst::itype(Op::Addi, r(7), r(7), 8), 40, &[]),
     ];
     for _ in 0..50 {
         t.insert_slice(&short);

@@ -10,7 +10,7 @@ use preexec_core::{
     BodyInst, Parallelism, SelectionParams,
 };
 use preexec_isa::{Inst, Op, Pc, Reg};
-use preexec_slice::{SliceEntry, SliceForest, SliceTree};
+use preexec_slice::{DepPositions, SliceEntry, SliceForest, SliceTree};
 use proptest::prelude::*;
 
 /// A random dependence-chain body ending in a load, with non-decreasing
@@ -123,6 +123,11 @@ fn inst_of(kind: u8) -> Inst {
     }
 }
 
+/// The dependence positions of one chain link: its producer, if any.
+fn chain_link(producer: Option<u32>) -> DepPositions {
+    DepPositions::from_slice(producer.as_slice()).expect("one position fits")
+}
+
 /// One random backward slice rooted at `root_pc`: a chain of random PCs
 /// drawn from a small pool (so repeated slices share tree paths) with
 /// strictly increasing dynamic distances.
@@ -133,7 +138,7 @@ fn slice_strategy(root_pc: Pc) -> impl Strategy<Value = Vec<SliceEntry>> {
             pc: root_pc,
             inst: Inst::load(Op::Ld, Reg::new(2), Reg::new(1), 0),
             dist: 0,
-            dep_positions: if n == 0 { vec![] } else { vec![1] },
+            dep_positions: chain_link((n > 0).then_some(1)),
         }];
         let mut dist = 0u64;
         for (i, (pc_off, kind, gap)) in chain.into_iter().enumerate() {
@@ -142,7 +147,7 @@ fn slice_strategy(root_pc: Pc) -> impl Strategy<Value = Vec<SliceEntry>> {
                 pc: root_pc + pc_off,
                 inst: inst_of(kind),
                 dist,
-                dep_positions: if i + 1 < n { vec![i as u32 + 2] } else { vec![] },
+                dep_positions: chain_link((i + 1 < n).then_some(i as u32 + 2)),
             });
         }
         slice

@@ -35,6 +35,13 @@ pub enum SliceError {
     /// recording run itself would have faulted — the replayer executes
     /// the identical instruction stream.
     Replay(ExecError),
+    /// A [`DepPositions`](crate::DepPositions) was built from more
+    /// distinct positions than it holds. Carries the number of positions
+    /// given (duplicates included).
+    TooManyDepPositions {
+        /// Length of the rejected position list.
+        given: usize,
+    },
 }
 
 impl fmt::Display for SliceError {
@@ -49,6 +56,11 @@ impl fmt::Display for SliceError {
                 "non-finite advantage for the candidate triggered at pc {pc} (slice-tree node {node})"
             ),
             SliceError::Replay(e) => write!(f, "slice re-execution faulted: {e}"),
+            SliceError::TooManyDepPositions { given } => write!(
+                f,
+                "{given} dependence positions given; a slice entry holds at most {} distinct",
+                crate::DepPositions::CAPACITY
+            ),
         }
     }
 }
@@ -90,5 +102,7 @@ mod tests {
         assert!(s.contains("non-finite") && s.contains("42") && s.contains("3"));
         let r = SliceError::Replay(ExecError::CpuHalted).to_string();
         assert!(r.contains("re-execution") && r.contains("halted"));
+        let d = SliceError::TooManyDepPositions { given: 4 }.to_string();
+        assert!(d.contains("4 dependence positions") && d.contains("at most 3"));
     }
 }

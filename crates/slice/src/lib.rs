@@ -48,6 +48,8 @@ pub mod forest;
 pub mod io;
 pub mod ondemand;
 pub mod phased;
+#[cfg(test)]
+mod reference;
 pub mod tree;
 pub mod window;
 
@@ -57,4 +59,4 @@ pub use io::{read_forest, read_forest_lenient, write_forest, ParseForestError, R
 pub use ondemand::OnDemandSlicer;
 pub use phased::{PhasedForest, PhasedForestBuilder};
 pub use tree::{NodeId, SliceNode, SliceTree};
-pub use window::{SliceEntry, SliceWindow};
+pub use window::{DepPositions, SliceEntry, SliceWindow};

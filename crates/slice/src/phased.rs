@@ -226,7 +226,7 @@ mod tests {
         let mut b = PhasedForestBuilder::try_new(1024, 32).unwrap();
         let mut fed = 0u64;
         run_trace(&p, &TraceConfig::default(), |d| {
-            if fed % 97 == 0 {
+            if fed.is_multiple_of(97) {
                 b.begin_phase();
             }
             b.observe(d);

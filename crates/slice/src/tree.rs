@@ -164,7 +164,7 @@ impl SliceTree {
         assert_eq!(slice[0].pc, self.root_pc, "slice root mismatch");
         self.nodes[0].dc_ptcm += 1;
         if self.nodes[0].dep_depths.is_empty() {
-            self.nodes[0].dep_depths = slice[0].dep_positions.clone();
+            self.nodes[0].dep_depths = slice[0].dep_positions.to_vec();
         }
         let mut cur: NodeId = 0;
         for (depth, entry) in slice.iter().enumerate().skip(1) {
@@ -184,7 +184,7 @@ impl SliceTree {
                         parent: Some(cur),
                         children: Vec::new(),
                         dc_ptcm: 0,
-                        dep_depths: entry.dep_positions.clone(),
+                        dep_depths: entry.dep_positions.to_vec(),
                         dist_sum: 0,
                     });
                     self.nodes[cur].children.push(id);
@@ -283,23 +283,24 @@ impl fmt::Display for SliceTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DepPositions;
     use preexec_isa::{Op, Reg};
 
-    fn entry(pc: Pc, dist: u64, deps: Vec<u32>) -> SliceEntry {
+    fn entry(pc: Pc, dist: u64, deps: &[u32]) -> SliceEntry {
         SliceEntry {
             pc,
             inst: Inst::itype(Op::Addi, Reg::new(1), Reg::new(1), 1),
             dist,
-            dep_positions: deps,
+            dep_positions: DepPositions::from_slice(deps).unwrap(),
         }
     }
 
-    fn root_entry(deps: Vec<u32>) -> SliceEntry {
+    fn root_entry(deps: &[u32]) -> SliceEntry {
         SliceEntry {
             pc: 9,
             inst: Inst::load(Op::Lw, Reg::new(8), Reg::new(7), 0),
             dist: 0,
-            dep_positions: deps,
+            dep_positions: DepPositions::from_slice(deps).unwrap(),
         }
     }
 
@@ -315,9 +316,9 @@ mod tests {
     #[test]
     fn single_slice_makes_a_path() {
         let t = tree_with(&[vec![
-            root_entry(vec![1]),
-            entry(8, 1, vec![2]),
-            entry(7, 2, vec![3]),
+            root_entry(&[1]),
+            entry(8, 1, &[2]),
+            entry(7, 2, &[3]),
         ]]);
         assert_eq!(t.len(), 3);
         assert_eq!(t.root().dc_ptcm, 1);
@@ -328,8 +329,8 @@ mod tests {
     #[test]
     fn shared_prefix_shares_nodes() {
         // Two slices agree on #08 then diverge (#04 vs #06) — Figure 3.
-        let s1 = vec![root_entry(vec![1]), entry(8, 1, vec![2]), entry(4, 2, vec![])];
-        let s2 = vec![root_entry(vec![1]), entry(8, 1, vec![2]), entry(6, 2, vec![])];
+        let s1 = vec![root_entry(&[1]), entry(8, 1, &[2]), entry(4, 2, &[])];
+        let s2 = vec![root_entry(&[1]), entry(8, 1, &[2]), entry(6, 2, &[])];
         let t = tree_with(&[s1.clone(), s1, s2]);
         assert_eq!(t.len(), 4); // root, #08, #04, #06
         assert_eq!(t.root().dc_ptcm, 3);
@@ -346,8 +347,8 @@ mod tests {
 
     #[test]
     fn dist_pl_averages() {
-        let s1 = vec![root_entry(vec![1]), entry(8, 2, vec![])];
-        let s2 = vec![root_entry(vec![1]), entry(8, 4, vec![])];
+        let s1 = vec![root_entry(&[1]), entry(8, 2, &[])];
+        let s2 = vec![root_entry(&[1]), entry(8, 4, &[])];
         let t = tree_with(&[s1, s2]);
         assert!((t.node(1).dist_pl() - 3.0).abs() < 1e-12);
         assert_eq!(t.root().dist_pl(), 0.0);
@@ -355,8 +356,8 @@ mod tests {
 
     #[test]
     fn truncated_slice_keeps_invariant() {
-        let long = vec![root_entry(vec![1]), entry(8, 1, vec![2]), entry(7, 2, vec![])];
-        let short = vec![root_entry(vec![1]), entry(8, 1, vec![])];
+        let long = vec![root_entry(&[1]), entry(8, 1, &[2]), entry(7, 2, &[])];
+        let short = vec![root_entry(&[1]), entry(8, 1, &[])];
         let t = tree_with(&[long, short]);
         // Node #08 has dc=2 but its only child #07 has dc=1.
         assert!(t.check_invariants());
@@ -367,9 +368,9 @@ mod tests {
     #[test]
     fn ancestor_query() {
         let t = tree_with(&[vec![
-            root_entry(vec![1]),
-            entry(8, 1, vec![2]),
-            entry(7, 2, vec![]),
+            root_entry(&[1]),
+            entry(8, 1, &[2]),
+            entry(7, 2, &[]),
         ]]);
         assert!(t.is_ancestor(0, 2));
         assert!(t.is_ancestor(1, 2));
@@ -381,10 +382,10 @@ mod tests {
     fn same_pc_at_different_depths_distinct() {
         // Induction unrolling: #11 appears twice along one path.
         let s = vec![
-            root_entry(vec![1]),
-            entry(11, 2, vec![2]),
-            entry(11, 14, vec![3]),
-            entry(11, 26, vec![]),
+            root_entry(&[1]),
+            entry(11, 2, &[2]),
+            entry(11, 14, &[3]),
+            entry(11, 26, &[]),
         ];
         let t = tree_with(&[s]);
         assert_eq!(t.len(), 4);
@@ -397,12 +398,12 @@ mod tests {
     #[should_panic(expected = "root mismatch")]
     fn wrong_root_rejected() {
         let mut t = SliceTree::new(9, Inst::load(Op::Lw, Reg::new(8), Reg::new(7), 0));
-        t.insert_slice(&[entry(3, 0, vec![])]);
+        t.insert_slice(&[entry(3, 0, &[])]);
     }
 
     #[test]
     fn display_is_indented() {
-        let t = tree_with(&[vec![root_entry(vec![1]), entry(8, 1, vec![])]]);
+        let t = tree_with(&[vec![root_entry(&[1]), entry(8, 1, &[])]]);
         let s = t.to_string();
         assert!(s.contains("#09"));
         assert!(s.contains("  #08")); // depth-1 indent

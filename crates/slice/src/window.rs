@@ -5,8 +5,10 @@ use crate::SliceError;
 use preexec_func::DynInst;
 use preexec_isa::reg::NUM_REGS;
 use preexec_isa::{Inst, Pc};
-use std::collections::hash_map::Entry;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::fmt;
+use std::ops::Deref;
 
 /// One element of an extracted backward slice.
 ///
@@ -22,10 +24,80 @@ pub struct SliceEntry {
     /// Dynamic-instruction distance from the root load (root = 0).
     pub dist: u64,
     /// Positions (indices into the same slice vector) of the producers of
-    /// this instruction's source values that lie within the slice. Producer
-    /// positions are always greater than the consumer's position (producers
-    /// are earlier in program order, later in the root-first vector).
-    pub dep_positions: Vec<u32>,
+    /// this instruction's source values that lie within the slice, stored
+    /// inline in ascending order. Producer positions are always greater
+    /// than the consumer's position (producers are earlier in program
+    /// order, later in the root-first vector).
+    pub dep_positions: DepPositions,
+}
+
+/// The in-slice producer positions of one [`SliceEntry`]: ascending,
+/// distinct, and stored inline.
+///
+/// An instruction has at most two register sources plus, for a load
+/// inside the slice, one feeding store, so [`CAPACITY`](Self::CAPACITY)
+/// slots always suffice. Dereferences to the live `[u32]` prefix.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct DepPositions {
+    len: u8,
+    /// Ascending positions in `pos[..len]`; the rest stay zero, so the
+    /// derived equality sees only the live prefix.
+    pos: [u32; DepPositions::CAPACITY],
+}
+
+impl DepPositions {
+    /// The most producers one slice entry can have.
+    pub const CAPACITY: usize = 3;
+
+    const EMPTY: DepPositions = DepPositions { len: 0, pos: [0; DepPositions::CAPACITY] };
+
+    /// The ascending, deduplicated positions in `positions`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SliceError::TooManyDepPositions`] if `positions` holds
+    /// more than [`CAPACITY`](Self::CAPACITY) distinct values.
+    pub fn from_slice(positions: &[u32]) -> Result<DepPositions, SliceError> {
+        let mut out = DepPositions::EMPTY;
+        for &p in positions {
+            let len = out.len as usize;
+            if let Err(at) = out.pos[..len].binary_search(&p) {
+                if len == Self::CAPACITY {
+                    return Err(SliceError::TooManyDepPositions { given: positions.len() });
+                }
+                out.pos.copy_within(at..len, at + 1);
+                out.pos[at] = p;
+                out.len += 1;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Adds `p`, which is at least every position held so far; a repeat of
+    /// the last one (both register sources naming one producer) is dropped.
+    fn append(&mut self, p: u32) {
+        let len = self.len as usize;
+        if len > 0 && self.pos[len - 1] == p {
+            return;
+        }
+        debug_assert!(len == 0 || self.pos[len - 1] < p, "positions append in order");
+        self.pos[len] = p;
+        self.len += 1;
+    }
+}
+
+impl Deref for DepPositions {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.pos[..self.len as usize]
+    }
+}
+
+impl fmt::Debug for DepPositions {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -60,6 +132,10 @@ pub(crate) fn granules(addr: u64, width: u8) -> impl Iterator<Item = u64> {
 /// the requested scope.
 const MAX_EAGER_RING_CAPACITY: usize = 1 << 16;
 
+/// Cap on the slice length [`slice_from`] sizes its buffers for up front;
+/// longer slices grow them on demand.
+const MAX_PRESIZED_SLICE_LEN: usize = 256;
+
 /// One instruction's dependence record as the slice traversal sees it —
 /// the common currency of the windowed and on-demand extractors.
 #[derive(Debug, Clone, Copy)]
@@ -72,92 +148,75 @@ pub(crate) struct EntryView {
     pub mem_dep: Option<u64>,
 }
 
+impl EntryView {
+    /// The producers a slice follows from this instruction: its register
+    /// sources and, for a load other than the slice root, its feeding
+    /// store (only the root's address computation matters).
+    fn producers(&self, is_root: bool) -> impl Iterator<Item = u64> {
+        let store = if self.inst.op.is_load() && !is_root { self.mem_dep } else { None };
+        self.reg_deps.into_iter().flatten().chain(store)
+    }
+}
+
 /// The backward-slice traversal shared by [`SliceWindow::try_slice_latest`]
 /// and the on-demand slicer: both provide dependence records through
 /// `entry`, so a slice of the same root over the same dependences is
 /// byte-identical whichever extractor produced it — by construction, not
 /// by two traversals kept in sync.
 ///
-/// `entry` is consulted once per visited sequence number; dependences
-/// older than `min_seq` (out of scope) are never followed, so `entry` may
-/// report them as `None` or as their true (sub-`min_seq`) value
-/// interchangeably.
+/// `entry` is consulted exactly once per included sequence number;
+/// dependences older than `min_seq` (out of scope) are never followed, so
+/// `entry` may report them as `None` or as their true (sub-`min_seq`)
+/// value interchangeably.
+///
+/// Producers are visited nearest-first through a max-heap of
+/// (producer seq, consumer position) pairs, so a truncated slice keeps the
+/// instructions nearest the root. Dependences always point backward (a
+/// producer is older than its consumer), so the heap pops sequence numbers
+/// in non-increasing order and a producer shared by several consumers pops
+/// back to back. That makes the traversal map-free: a producer's position
+/// is the slice length when it first pops, each of its pairs hands that
+/// position to its consumer (so positions arrive ascending), and nothing
+/// already included can be pushed again. A dependence that does not point
+/// backward is never followed. DESIGN.md §7.5 argues the equivalence with
+/// the seq-to-position map this replaced.
 pub(crate) fn slice_from(
     root_seq: u64,
     min_seq: u64,
     max_len: usize,
     mut entry: impl FnMut(u64) -> Result<EntryView, SliceError>,
 ) -> Result<Vec<SliceEntry>, SliceError> {
-    // Max-heap worklist: process candidates in descending seq order so
-    // that a truncated slice keeps the instructions nearest the root.
-    let mut heap: BinaryHeap<u64> = BinaryHeap::new();
-    let mut included: HashMap<u64, u32> = HashMap::new(); // seq -> position
-    let mut views: HashMap<u64, EntryView> = HashMap::new();
-    let mut order: Vec<u64> = Vec::new();
+    let cap = max_len.min(MAX_PRESIZED_SLICE_LEN);
+    // (producer seq, position of the consumer that follows it).
+    let mut pending: BinaryHeap<(u64, u32)> =
+        BinaryHeap::with_capacity(DepPositions::CAPACITY * cap);
+    let mut slice: Vec<SliceEntry> = Vec::with_capacity(cap);
 
-    let mut fetch = |seq: u64, views: &mut HashMap<u64, EntryView>| -> Result<EntryView, SliceError> {
-        if let Some(v) = views.get(&seq) {
-            return Ok(*v);
-        }
-        let v = entry(seq)?;
-        views.insert(seq, v);
-        Ok(v)
-    };
-
-    let root = fetch(root_seq, &mut views)?;
-    included.insert(root_seq, 0);
-    order.push(root_seq);
-    for dep in root.reg_deps.into_iter().flatten() {
-        if dep >= min_seq {
-            heap.push(dep);
-        }
-    }
-
-    while let Some(seq) = heap.pop() {
-        if order.len() >= max_len {
+    let mut seq = root_seq;
+    loop {
+        let at = slice.len() as u32;
+        let view = entry(seq)?;
+        let followed = view.producers(at == 0).filter(|dep| (min_seq..seq).contains(dep));
+        pending.extend(followed.map(|dep| (dep, at)));
+        slice.push(SliceEntry {
+            pc: view.pc,
+            inst: view.inst,
+            dist: root_seq - seq,
+            dep_positions: DepPositions::EMPTY,
+        });
+        if slice.len() >= max_len {
             break;
         }
-        match included.entry(seq) {
-            Entry::Occupied(_) => continue,
-            Entry::Vacant(v) => v.insert(order.len() as u32),
-        };
-        order.push(seq);
-        let e = fetch(seq, &mut views)?;
-        for dep in e.reg_deps.into_iter().flatten() {
-            if dep >= min_seq && !included.contains_key(&dep) {
-                heap.push(dep);
-            }
+        // The nearest pending producer takes the next position, and every
+        // consumer following it (its pairs pop back to back) records that.
+        let Some(&(next, _)) = pending.peek() else { break };
+        let next_at = slice.len() as u32;
+        while let Some((_, consumer)) = pending.peek_mut().filter(|p| p.0 == next).map(PeekMut::pop) {
+            slice[consumer as usize].dep_positions.append(next_at);
         }
-        if e.inst.op.is_load() {
-            if let Some(dep) = e.mem_dep {
-                if dep >= min_seq && !included.contains_key(&dep) {
-                    heap.push(dep);
-                }
-            }
-        }
+        seq = next;
     }
-
-    // Build entries with intra-slice dependence positions.
-    Ok(order
-        .iter()
-        .map(|&seq| {
-            let e = views.get(&seq).expect("visited seq has a cached view");
-            let mut dep_positions: Vec<u32> = e
-                .reg_deps
-                .into_iter()
-                .flatten()
-                .chain(if e.inst.op.is_load() && seq != root_seq {
-                    e.mem_dep
-                } else {
-                    None
-                })
-                .filter_map(|dep| included.get(&dep).copied())
-                .collect();
-            dep_positions.sort_unstable();
-            dep_positions.dedup();
-            SliceEntry { pc: e.pc, inst: e.inst, dist: root_seq - seq, dep_positions }
-        })
-        .collect())
+    Ok(slice)
 }
 
 /// A ring buffer of the last *scope* dynamic instructions, with register
@@ -355,9 +414,9 @@ mod tests {
         assert_eq!(s[1].pc, 2); // add
         assert_eq!(s[1].dist, 1);
         // add depends on both li's (positions 2 and 3).
-        assert_eq!(s[1].dep_positions, vec![2, 3]);
+        assert_eq!(s[1].dep_positions[..], [2, 3]);
         // root depends on add (position 1).
-        assert_eq!(s[0].dep_positions, vec![1]);
+        assert_eq!(s[0].dep_positions[..], [1]);
     }
 
     #[test]

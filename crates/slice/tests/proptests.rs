@@ -4,7 +4,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use preexec_isa::{Inst, Op, Pc, Reg};
-use preexec_slice::{SliceEntry, SliceTree};
+use preexec_slice::{DepPositions, SliceEntry, SliceTree};
 use proptest::prelude::*;
 
 fn entry(pc: Pc, dist: u64) -> SliceEntry {
@@ -12,7 +12,7 @@ fn entry(pc: Pc, dist: u64) -> SliceEntry {
         pc,
         inst: Inst::itype(Op::Addi, Reg::new(1), Reg::new(1), 1),
         dist,
-        dep_positions: Vec::new(),
+        dep_positions: DepPositions::from_slice(&[]).unwrap(),
     }
 }
 
@@ -24,7 +24,7 @@ fn slice_strategy() -> impl Strategy<Value = Vec<SliceEntry>> {
             pc: 99,
             inst: Inst::load(Op::Ld, Reg::new(2), Reg::new(1), 0),
             dist: 0,
-            dep_positions: vec![],
+            dep_positions: DepPositions::from_slice(&[]).unwrap(),
         }];
         let mut dist = 0;
         for (pc, step) in tail {

@@ -13,7 +13,7 @@
 
 use preexec::core::{aggregate_advantage, candidate_body, solve_tree, SelectionParams};
 use preexec::isa::{assemble, Inst, Op, Pc, Reg};
-use preexec::slice::{SliceEntry, SliceTree};
+use preexec::slice::{DepPositions, SliceEntry, SliceTree};
 
 /// The static code of Figure 1 (instruction numbering matches the paper).
 const PHARMACY: &str = "
@@ -39,8 +39,9 @@ exit:
     halt                    # 14
 ";
 
-fn entry(pc: Pc, inst: Inst, dist: u64, deps: Vec<u32>) -> SliceEntry {
-    SliceEntry { pc, inst, dist, dep_positions: deps }
+fn entry(pc: Pc, inst: Inst, dist: u64, deps: &[u32]) -> SliceEntry {
+    let dep_positions = DepPositions::from_slice(deps).expect("at most 3 positions");
+    SliceEntry { pc, inst, dist, dep_positions }
 }
 
 fn root_inst() -> Inst {
@@ -50,13 +51,13 @@ fn root_inst() -> Inst {
 /// One dynamic slice along the #04 path with `u` levels of induction.
 fn left_slice(u: usize) -> Vec<SliceEntry> {
     let mut s = vec![
-        entry(9, root_inst(), 0, vec![1]),
-        entry(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, vec![2]),
-        entry(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, vec![3]),
-        entry(4, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 4), 4, vec![4]),
+        entry(9, root_inst(), 0, &[1]),
+        entry(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, &[2]),
+        entry(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, &[3]),
+        entry(4, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 4), 4, &[4]),
     ];
     for k in 0..u {
-        let dep = if k + 1 < u { vec![5 + k as u32] } else { vec![] };
+        let dep: &[u32] = if k + 1 < u { &[5 + k as u32] } else { &[] };
         s.push(entry(
             11,
             Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16),
@@ -70,13 +71,13 @@ fn left_slice(u: usize) -> Vec<SliceEntry> {
 /// One dynamic slice along the #06 path.
 fn right_slice(u: usize) -> Vec<SliceEntry> {
     let mut s = vec![
-        entry(9, root_inst(), 0, vec![1]),
-        entry(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, vec![2]),
-        entry(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, vec![3]),
-        entry(6, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 8), 3, vec![4]),
+        entry(9, root_inst(), 0, &[1]),
+        entry(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, &[2]),
+        entry(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, &[3]),
+        entry(6, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 8), 3, &[4]),
     ];
     for k in 0..u {
-        let dep = if k + 1 < u { vec![5 + k as u32] } else { vec![] };
+        let dep: &[u32] = if k + 1 < u { &[5 + k as u32] } else { &[] };
         s.push(entry(
             11,
             Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16),
