@@ -1,10 +1,11 @@
 //! `pipeline-bench` — end-to-end pipeline benchmark with per-stage
-//! wall-clock, serial versus N-thread, batch versus streaming.
+//! wall-clock, serial versus N-thread selection, batch versus streaming.
 //!
-//! Runs one workload through the [`Pipeline`] builder three ways — batch
-//! serial, batch `--threads N`, and streaming — and emits two reports:
+//! Runs one workload through the [`Pipeline`] builder — batch trace,
+//! streaming trace, on-demand trace, serial and `--threads N` selection,
+//! adaptive selection — and emits five reports:
 //!
-//! - `BENCH_pipeline.json`: per-stage timings, the parallel stages'
+//! - `BENCH_pipeline.json`: per-stage timings, the selection stage's
 //!   internal [`ParStats`] counters, and an `obs` section (the
 //!   [`preexec_obs`] registry's per-stage histograms, counters, and
 //!   gauges accumulated across the runs);
@@ -28,8 +29,8 @@
 //!   bit-identity verdict, and the global-forest identity with the
 //!   windowed batch leg.
 //!
-//! Every timed stage leg (trace serial/parallel/streaming/on-demand and
-//! the finish stages behind the select timings) is best-of-5 — single
+//! Every timed stage leg (trace batch/streaming/on-demand and the finish
+//! stages behind the select timings) is best-of-5 — single
 //! shots confound scheduler noise with stage cost.
 //!
 //! All legs are compared for bit-identity, so every benchmark run
@@ -265,38 +266,19 @@ fn run(args: &Args) -> Result<u8, String> {
     let cfg = PipelineConfig::paper_default(args.budget);
     let par = Parallelism::new(args.threads);
 
-    // Trace + slice, serial then parallel, best-of-N each. The trace
-    // itself is inherently serial (it is one dependent instruction
-    // stream); the tree construction behind it is the parallel part, and
-    // ParStats covers exactly that fan-out.
-    let (slice_serial_us, arts_serial) = best_of_us(|| {
+    // Trace + slice, best-of-N. The trace is one dependent instruction
+    // stream and every tree is built as its slices arrive, so the stage
+    // is serial whatever `--threads` says.
+    let (trace_us, arts) = best_of_us(|| {
         Pipeline::new(&program)
             .config(cfg)
             .trace()
-            .map_err(|e| format!("serial trace: {e}"))
+            .map_err(|e| format!("batch trace: {e}"))
     })?;
-    let (slice_par_us, arts_par) = best_of_us(|| {
-        Pipeline::new(&program)
-            .config(cfg)
-            .parallelism(par)
-            .trace()
-            .map_err(|e| format!("parallel trace: {e}"))
-    })?;
-    let slice = StagePair {
-        serial_us: slice_serial_us,
-        par_us: slice_par_us,
-        par_stats: arts_par.par,
-    };
-    let forest_bytes = preexec_slice::write_forest(&arts_serial.forest);
-    if forest_bytes != preexec_slice::write_forest(&arts_par.forest) {
-        return Err(format!(
-            "slice forests differ between --threads 1 and --threads {}",
-            args.threads
-        ));
-    }
+    let forest_bytes = preexec_slice::write_forest(&arts.forest);
 
     // The streaming leg: bounded-memory transport, producer/consumer
-    // overlap instead of the deferred tree fan-out.
+    // overlap of the trace and the slicer.
     let stream_spec = PolicySpec { cfg, streaming: true, ..PolicySpec::default() };
     let (stream_us, arts_stream) = best_of_us(|| {
         Pipeline::new(&program)
@@ -348,14 +330,14 @@ fn run(args: &Args) -> Result<u8, String> {
     // Finish from the traced artifacts, serial then parallel: base sim,
     // selection, assisted sim, each timed by the builder, best-of-N per
     // stage.
-    let stats = arts_serial.stats;
-    let serial_forest = arts_serial.forest;
+    let stats = arts.stats;
+    let forest = arts.forest;
     let (mut base_us, mut select_serial_us) = (u64::MAX, u64::MAX);
     let mut out_serial = None;
     for _ in 0..BEST_OF {
         let o = Pipeline::new(&program)
             .config(cfg)
-            .artifacts(serial_forest.clone(), stats.clone())
+            .artifacts(forest.clone(), stats.clone())
             .run()
             .map_err(|e| format!("serial finish: {e}"))?;
         base_us = base_us.min(o.stage_us.base_sim);
@@ -369,7 +351,7 @@ fn run(args: &Args) -> Result<u8, String> {
         let o = Pipeline::new(&program)
             .config(cfg)
             .parallelism(par)
-            .artifacts(arts_par.forest.clone(), arts_par.stats.clone())
+            .artifacts(forest.clone(), stats.clone())
             .run()
             .map_err(|e| format!("parallel finish: {e}"))?;
         select_par_us = select_par_us.min(o.stage_us.select);
@@ -389,36 +371,26 @@ fn run(args: &Args) -> Result<u8, String> {
         ));
     }
 
-    // The acceptance metric: combined wall-clock of the two
-    // parallelizable stages, serial over parallel.
-    let combined = (slice.serial_us + select.serial_us) as f64
-        / (slice.par_us + select.par_us).max(1) as f64;
-
     let mut json = String::new();
     let _ = write!(
         json,
-        r#"{{"workload":"{}","budget":{},"threads":{},"trace":{{"insts":{},"l2_misses":{},"trees":{}}},"stages_us":{{"trace_slice_serial":{},"trace_slice_par":{},"base_sim":{},"select_serial":{},"select_par":{}}},"slice_stage":"#,
+        r#"{{"workload":"{}","budget":{},"threads":{},"trace":{{"insts":{},"l2_misses":{},"trees":{}}},"stages_us":{{"trace_slice":{},"base_sim":{},"select_serial":{},"select_par":{}}},"select_stage":"#,
         args.workload,
         args.budget,
         args.threads,
         stats.insts,
         stats.l2_misses,
         out_serial.forest.num_trees(),
-        slice.serial_us,
-        slice.par_us,
+        trace_us,
         base_us,
         select.serial_us,
         select.par_us,
     );
-    par_stats_json(&mut json, &slice.par_stats);
-    json.push_str(r#","select_stage":"#);
     par_stats_json(&mut json, &select.par_stats);
     let _ = write!(
         json,
-        r#","speedup":{{"trace_slice":{:.3},"select":{:.3},"slice_score_combined":{:.3}}},"pthreads":{},"obs":"#,
-        slice.speedup(),
+        r#","speedup":{{"select":{:.3}}},"pthreads":{},"obs":"#,
         select.speedup(),
-        combined,
         out_serial.result.selection.pthreads.len(),
     );
     obs_json(&mut json);
@@ -434,7 +406,7 @@ fn run(args: &Args) -> Result<u8, String> {
     let stream_speedup = if stream_us == 0 {
         1.0
     } else {
-        slice.serial_us as f64 / stream_us as f64
+        trace_us as f64 / stream_us as f64
     };
     let mut sjson = String::new();
     let _ = write!(
@@ -442,7 +414,7 @@ fn run(args: &Args) -> Result<u8, String> {
         r#"{{"workload":"{}","budget":{},"batch":{{"wall_us":{},"peak_insts_proxy":{}}},"stream":{{"wall_us":{},"peak_insts_proxy":{},"chunks":{},"backpressure_stalls_us":{},"consumer_stalls_us":{}}},"speedup":{:.3},"identical":true,"obs":"#,
         args.workload,
         args.budget,
-        slice.serial_us,
+        trace_us,
         stats.total_steps,
         stream_us,
         sstats.peak_window_insts,
@@ -505,7 +477,7 @@ fn run(args: &Args) -> Result<u8, String> {
     let reexec_speedup = if reexec_us == 0 {
         1.0
     } else {
-        slice.serial_us as f64 / reexec_us as f64
+        trace_us as f64 / reexec_us as f64
     };
     let mut rjson = String::new();
     let _ = write!(
@@ -515,7 +487,7 @@ fn run(args: &Args) -> Result<u8, String> {
         args.budget,
         cfg.scope,
         checkpoint_every,
-        slice.serial_us,
+        trace_us,
         cfg.scope,
         reexec_us,
         checkpoints,
@@ -604,13 +576,11 @@ fn run(args: &Args) -> Result<u8, String> {
         .map_err(|e| format!("writing {}: {e}", args.adaptive_out))?;
 
     eprintln!(
-        "pipeline-bench: {} @ {} insts, {} threads: slice {:.2}x, select {:.2}x, combined {:.2}x -> {}; stream peak {} vs batch {} insts -> {}",
+        "pipeline-bench: {} @ {} insts, {} threads: select {:.2}x -> {}; stream peak {} vs batch {} insts -> {}",
         args.workload,
         args.budget,
         args.threads,
-        slice.speedup(),
         select.speedup(),
-        combined,
         args.out,
         sstats.peak_window_insts,
         stats.total_steps,
@@ -629,7 +599,7 @@ fn run(args: &Args) -> Result<u8, String> {
     );
     eprintln!(
         "pipeline-bench: reexec leg: windowed {} us vs ondemand {} us ({:.2}x, {} checkpoints @ {}, {} insts replayed, peak resident {} vs scope {}) -> {}",
-        slice.serial_us,
+        trace_us,
         reexec_us,
         reexec_speedup,
         checkpoints,

@@ -1,12 +1,11 @@
 //! Dependency-free deterministic intra-job parallelism.
 //!
-//! The framework's hot path fans out over three independent axes — one
-//! slice tree per static problem load, one advantage calculation per
-//! slice-tree node, one overlap fixed-point per tree — and every unit of
-//! work is a pure function of its inputs. This module provides the one
-//! primitive all three need: [`map`], an ordered parallel map over a
-//! slice, built on [`std::thread::scope`] so it needs no external
-//! dependencies and no long-lived pool.
+//! Selection fans out over two independent axes — one advantage
+//! calculation per slice-tree node, one overlap fixed-point per tree —
+//! and every unit of work is a pure function of its inputs. This module
+//! provides the one primitive both need: [`map`], an ordered parallel
+//! map over a slice, built on [`std::thread::scope`] so it needs no
+//! external dependencies and no long-lived pool.
 //!
 //! # Determinism contract
 //!
@@ -122,8 +121,8 @@ fn elapsed_us(t: Instant) -> u64 {
 /// Below this many items a parallel map runs inline on the caller's
 /// thread even when more threads are configured: for small fan-outs the
 /// spawn/join round-trip costs more than the work itself (measured as
-/// sub-1.0 "speedups" on the pipeline bench's small select and
-/// trace_slice stages). Results are unaffected — the inline path is the
+/// sub-1.0 "speedups" on the pipeline bench's small select stages).
+/// Results are unaffected — the inline path is the
 /// same ordered per-item loop the chunked merge reproduces.
 pub const SERIAL_FALLBACK_ITEMS: usize = 128;
 

@@ -1,10 +1,7 @@
 //! The [`Pipeline`] builder — the single front door to the trace →
 //! slice → select → simulate toolflow.
 //!
-//! Historically every combination of knobs grew its own free function
-//! (`try_run_pipeline`, `try_run_pipeline_par`,
-//! `try_run_pipeline_with_artifacts`, `try_select_par`, …). The builder
-//! collapses that surface into one typed entry point:
+//! One typed entry point covers every combination of knobs:
 //!
 //! ```
 //! use preexec_experiments::Pipeline;
@@ -16,26 +13,19 @@
 //! assert!(out.result.speedup() >= 1.0);
 //! ```
 //!
-//! The old free functions survive as `#[deprecated]` thin wrappers whose
-//! outputs are pinned byte-identical to the builder's by
-//! `tests/builder_wrappers` — callers migrate on their own schedule, the
-//! behaviour cannot drift.
-//!
-//! Since the [`PolicySpec`] redesign, the builder holds exactly one
-//! policy value: every *policy* knob (config, budget, slicing mode,
-//! screening, streaming, adaptive selection, deadline) is a field of the
-//! spec, and the individual setters are thin wrappers that mutate it.
+//! The builder holds exactly one policy value: every *policy* knob
+//! (config, budget, slicing mode, screening, streaming, adaptive
+//! selection, deadline) is a field of the [`PolicySpec`].
 //! [`policy`](Pipeline::policy) installs a whole spec at once — the same
 //! value the toolflow `--policy` flag, the daemon's v6 `policy` object,
-//! and the WAL all carry. The policy-sprawl setters
-//! ([`streaming`](Pipeline::streaming), [`screening`](Pipeline::screening),
-//! [`slicing_mode`](Pipeline::slicing_mode)) are `#[deprecated]` in
-//! favour of the spec, pinned byte-identical by the builder tests.
+//! and the WAL all carry; [`config`](Pipeline::config) and
+//! [`budget`](Pipeline::budget) adjust its [`PipelineConfig`].
 //!
 //! Execution-environment knobs stay separate from policy:
 //!
 //! - [`threads`](Pipeline::threads) / [`parallelism`](Pipeline::parallelism)
-//!   — intra-stage fan-out (slice-tree build, selection);
+//!   — the selection fan-out (per-candidate scoring, per-tree solving);
+//!   the trace, the slice-tree build and the sims are serial;
 //! - [`stream_config`](Pipeline::stream_config) — transport geometry of
 //!   the streaming path (never observable in results);
 //! - [`artifacts`](Pipeline::artifacts) — skip the trace stage entirely,
@@ -52,7 +42,7 @@ use crate::pipeline::{
 };
 use crate::policy::PolicySpec;
 use crate::PipelineError;
-use preexec_core::par::{ParStats, Parallelism};
+use preexec_core::par::Parallelism;
 use preexec_core::ScreenStats;
 use preexec_func::{RunStats, StreamConfig};
 use preexec_isa::Program;
@@ -82,9 +72,6 @@ pub struct TraceArtifacts {
     pub forest: SliceForest,
     /// Functional trace statistics.
     pub stats: RunStats,
-    /// Utilization of the slice-tree fan-out (batch mode; a serial
-    /// placeholder in streaming mode, where overlap replaces fan-out).
-    pub par: ParStats,
     /// Streaming transport counters; `None` on the batch path.
     pub stream: Option<StreamRunStats>,
 }
@@ -97,10 +84,10 @@ pub struct PipelineOutput {
     /// The slice forest the selection ran against — returned so callers
     /// (e.g. the artifact cache) can persist it without re-tracing.
     pub forest: SliceForest,
-    /// Per-stage parallel-utilization counters.
+    /// Parallel-utilization counters of the selection stage.
     pub par: PipelineParStats,
-    /// Streaming transport counters; `None` unless
-    /// [`streaming`](Pipeline::streaming) was enabled and the trace ran.
+    /// Streaming transport counters; `None` unless the spec enabled
+    /// streaming (or adaptive selection) and the trace ran.
     pub stream: Option<StreamRunStats>,
     /// Wall-clock stage timings.
     pub stage_us: StageUs,
@@ -108,8 +95,7 @@ pub struct PipelineOutput {
     /// [`artifacts`](Pipeline::artifacts).
     pub artifacts_reused: bool,
     /// Candidate counts from the static screening pre-pass of the
-    /// selection stage; `None` when screening was disabled via
-    /// [`screening(false)`](Pipeline::screening).
+    /// selection stage; `None` when the spec disabled screening.
     pub screen: Option<ScreenStats>,
     /// Per-phase policy choices and static-vs-adaptive aggregates;
     /// `None` unless the spec enabled adaptive selection.
@@ -225,30 +211,21 @@ impl<'p> Pipeline<'p> {
         self
     }
 
-    /// Sets the intra-stage thread count (1 = serial).
+    /// Sets the selection stage's thread count (1 = serial).
     #[must_use]
     pub fn threads(self, n: usize) -> Self {
         self.parallelism(Parallelism::new(n))
     }
 
-    /// Sets the intra-stage parallelism knob directly.
+    /// Sets the selection stage's parallelism knob directly.
     #[must_use]
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
         self
     }
 
-    /// Selects the streaming bounded-memory trace path (see
-    /// [`pipeline::try_trace_and_slice_streamed`]). Off by default.
-    #[deprecated(note = "set `streaming` on a `PolicySpec` and use `Pipeline::policy`")]
-    #[must_use]
-    pub fn streaming(mut self, on: bool) -> Self {
-        self.spec.streaming = on;
-        self
-    }
-
-    /// Sets the streaming transport geometry (implies nothing about
-    /// [`streaming`](Self::streaming) — the flag still picks the path).
+    /// Sets the streaming transport geometry (implies nothing about the
+    /// spec's `streaming` flag — the flag still picks the path).
     #[must_use]
     pub fn stream_config(mut self, stream: StreamConfig) -> Self {
         self.stream = stream;
@@ -262,31 +239,6 @@ impl<'p> Pipeline<'p> {
     #[must_use]
     pub fn artifacts(mut self, forest: SliceForest, stats: RunStats) -> Self {
         self.artifacts = Some((forest, stats));
-        self
-    }
-
-    /// Toggles the static ADVagg screening pre-pass of the selection
-    /// stage (on by default). Screening never changes the selected set —
-    /// the bound is admissible, so only candidates that cannot score
-    /// positive are pruned — it only skips exact scoring work. Turning it
-    /// off exists for benchmarking the exact path and for bisecting
-    /// suspected screen regressions.
-    #[deprecated(note = "set `screening` on a `PolicySpec` and use `Pipeline::policy`")]
-    #[must_use]
-    pub fn screening(mut self, on: bool) -> Self {
-        self.spec.screening = on;
-        self
-    }
-
-    /// Selects how the trace stage extracts slices (see [`SlicingMode`];
-    /// the default is [`SlicingMode::Windowed`]). In
-    /// [`OnDemand`](SlicingMode::OnDemand) mode the checkpointed
-    /// re-execution path replaces both the batch and streaming
-    /// transports — [`streaming`](Self::streaming) is ignored.
-    #[deprecated(note = "set `slicing` on a `PolicySpec` and use `Pipeline::policy`")]
-    #[must_use]
-    pub fn slicing_mode(mut self, mode: SlicingMode) -> Self {
-        self.spec.slicing = mode;
         self
     }
 
@@ -368,7 +320,7 @@ impl<'p> Pipeline<'p> {
         Ok(PipelineOutput {
             result: PipelineResult { stats: arts.stats, base, selection, assisted },
             forest: arts.forest,
-            par: PipelineParStats { slice: arts.par, select: select_par },
+            par: PipelineParStats { select: select_par },
             stream: arts.stream,
             stage_us,
             artifacts_reused,
@@ -421,11 +373,10 @@ impl<'p> Pipeline<'p> {
         let assisted = pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg)?;
         stage_us.assisted_sim = elapsed_us(t);
 
-        let serial = ParStats { threads: 1, ..ParStats::default() };
         Ok(PipelineOutput {
             result: PipelineResult { stats, base, selection, assisted },
             forest: phased.global,
-            par: PipelineParStats { slice: serial, select: select_par },
+            par: PipelineParStats { select: select_par },
             stream: Some(stream),
             stage_us,
             artifacts_reused: false,
@@ -439,25 +390,22 @@ impl<'p> Pipeline<'p> {
     /// the artifacts plus the stage's wall-clock microseconds (zero for
     /// supplied artifacts).
     fn trace_stage(self) -> Result<(TraceArtifacts, u64), PipelineError> {
-        let serial = ParStats { threads: 1, ..ParStats::default() };
         if let Some((forest, stats)) = self.artifacts {
-            let arts = TraceArtifacts { forest, stats, par: serial, stream: None };
-            return Ok((arts, 0));
+            return Ok((TraceArtifacts { forest, stats, stream: None }, 0));
         }
         self.check_gate("trace")?;
         let cfg = self.spec.cfg;
         let t = Instant::now();
         let arts = if let SlicingMode::OnDemand { checkpoint_every } = self.spec.slicing {
-            let (forest, stats, par) = pipeline::trace_ondemand(
+            let (forest, stats) = pipeline::trace_ondemand(
                 self.program,
                 cfg.scope,
                 cfg.max_slice_len,
                 cfg.budget,
                 cfg.warmup,
                 checkpoint_every,
-                self.par,
             )?;
-            TraceArtifacts { forest, stats, par, stream: None }
+            TraceArtifacts { forest, stats, stream: None }
         } else if self.spec.streaming {
             let (forest, stats, stream) = pipeline::try_trace_and_slice_streamed(
                 self.program,
@@ -467,17 +415,16 @@ impl<'p> Pipeline<'p> {
                 cfg.warmup,
                 &self.stream,
             )?;
-            TraceArtifacts { forest, stats, par: serial, stream: Some(stream) }
+            TraceArtifacts { forest, stats, stream: Some(stream) }
         } else {
-            let (forest, stats, par) = pipeline::trace_batch_par(
+            let (forest, stats) = pipeline::try_trace_and_slice_warm(
                 self.program,
                 cfg.scope,
                 cfg.max_slice_len,
                 cfg.budget,
                 cfg.warmup,
-                self.par,
             )?;
-            TraceArtifacts { forest, stats, par, stream: None }
+            TraceArtifacts { forest, stats, stream: None }
         };
         Ok((arts, elapsed_us(t)))
     }
@@ -545,26 +492,6 @@ mod tests {
         assert_eq!(b.spec.slicing, SlicingMode::OnDemand { checkpoint_every: 7 });
         // .policy() replaced the earlier budget wholesale.
         assert_eq!(b.spec.cfg.budget, 120_000);
-    }
-
-    /// The deprecation pin: the deprecated per-knob setters and the
-    /// `policy` spec produce byte-identical results.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_match_the_policy_spec_byte_for_byte() {
-        let p = vpr();
-        let c = cfg();
-        let via_setters =
-            Pipeline::new(&p).config(c).streaming(true).screening(false).run().unwrap();
-        let via_spec = Pipeline::new(&p)
-            .policy(PolicySpec { cfg: c, streaming: true, screening: false, ..PolicySpec::default() })
-            .run()
-            .unwrap();
-        assert_eq!(key(&via_setters.result), key(&via_spec.result));
-        assert_eq!(
-            preexec_slice::write_forest(&via_setters.forest),
-            preexec_slice::write_forest(&via_spec.forest)
-        );
     }
 
     #[test]

@@ -42,11 +42,6 @@ pub use builder::{
     DEFAULT_CHECKPOINT_EVERY,
 };
 pub use error::PipelineError;
-#[allow(deprecated)] // re-exported for migration; the wrappers warn at use sites
-pub use pipeline::{
-    try_assisted_sim, try_base_sim, try_run_pipeline_par, try_run_pipeline_with_artifacts,
-    try_run_pipeline_with_artifacts_par, try_select, try_select_par, try_trace_and_slice_warm_par,
-};
 pub use pipeline::{
     run_pipeline, trace_and_slice, trace_and_slice_warm, try_run_pipeline,
     try_trace_and_slice_phased, try_trace_and_slice_streamed, try_trace_and_slice_warm,

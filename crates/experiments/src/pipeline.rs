@@ -1,7 +1,7 @@
 //! The trace → slice → select → simulate pipeline.
 
 use crate::PipelineError;
-use preexec_core::par::{self, ParStats, Parallelism};
+use preexec_core::par::{ParStats, Parallelism};
 use preexec_core::{
     select_pthreads, try_choose_policy, try_select_pthreads_stats, PhaseStats, ScreenStats,
     Selection, SelectionParams, SelectionPrediction, StaticPThread,
@@ -13,20 +13,17 @@ use preexec_func::{
 use preexec_isa::{Inst, Pc, Program};
 use preexec_mem::HierarchyConfig;
 use preexec_slice::{
-    OnDemandSlicer, PendingTree, PhasedForest, PhasedForestBuilder, SliceEntry, SliceForest,
-    SliceForestBuilder, SliceTree,
+    ForestBank, OnDemandSlicer, PhasedForest, PhasedForestBuilder, SliceForest,
+    SliceForestBuilder,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use preexec_timing::{try_simulate, MachineParams, SimConfig, SimMode, SimResult};
 
-/// Per-stage parallel-utilization counters for one pipeline run: one
-/// [`ParStats`] per parallelized stage (slice-tree construction;
-/// score + select). Trace extraction and the timing sims are inherently
-/// serial and have no counters.
+/// Parallel-utilization counters for one pipeline run. Selection is the
+/// only stage that fans out: trace extraction, slice-tree construction
+/// and the timing sims are serial.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineParStats {
-    /// The deferred slice-tree build fan-out (one item per problem load).
-    pub slice: ParStats,
     /// The selection fan-outs (per-candidate scoring + per-tree solving).
     pub select: ParStats,
 }
@@ -238,67 +235,29 @@ pub fn try_trace_and_slice_warm(
     warmup: u64,
 ) -> Result<(SliceForest, RunStats), PipelineError> {
     let mut builder = SliceForestBuilder::try_new(scope, max_slice_len)?;
+    let config = trace_config(budget, warmup);
     let trace_span = preexec_obs::global().span("stage.trace");
-    let stats = trace_into_builder(program, &mut builder, budget, warmup)?;
+    let mut stats = RunStats::new();
+    // The sink cannot return early, so a malformed delta is latched here
+    // and surfaced once the trace stops.
+    let mut sink_fault: Option<ExecError> = None;
+    let full = try_run_trace(program, &config, |d| {
+        if sink_fault.is_some() {
+            return;
+        }
+        if let Err(e) = feed_measured(&mut builder, &mut stats, warmup, d) {
+            sink_fault = Some(e);
+        }
+    })?;
+    if let Some(e) = sink_fault {
+        return Err(e.into());
+    }
+    stats.total_steps = full.total_steps;
     trace_span.finish();
     let build_span = preexec_obs::global().span("stage.slice_build");
     let forest = builder.finish();
     build_span.finish();
     Ok((forest, stats))
-}
-
-/// [`try_trace_and_slice_warm`] with parallel slice-tree construction:
-/// the trace itself is inherently serial (the slicing window is a running
-/// state over the instruction stream), so slices are *banked* per problem
-/// load during the trace and the per-load trees — independent by
-/// construction — are built concurrently afterwards.
-///
-/// The forest is **byte-identical** for every thread count (per-load
-/// slice order is preserved and tree construction is a pure function of
-/// it); with a serial knob this takes exactly the historical
-/// build-as-you-trace path, avoiding the deferred mode's slice banking.
-///
-/// # Errors
-///
-/// Same as [`try_trace_and_slice_warm`].
-#[deprecated(note = "use `Pipeline::new(program).threads(n).trace()` instead")]
-pub fn try_trace_and_slice_warm_par(
-    program: &Program,
-    scope: usize,
-    max_slice_len: usize,
-    budget: u64,
-    warmup: u64,
-    par: Parallelism,
-) -> Result<(SliceForest, RunStats, ParStats), PipelineError> {
-    trace_batch_par(program, scope, max_slice_len, budget, warmup, par)
-}
-
-/// Batch trace+slice with the deferred slice-tree fan-out (the
-/// implementation behind the deprecated [`try_trace_and_slice_warm_par`]
-/// and the batch path of [`Pipeline`](crate::Pipeline)).
-pub(crate) fn trace_batch_par(
-    program: &Program,
-    scope: usize,
-    max_slice_len: usize,
-    budget: u64,
-    warmup: u64,
-    par: Parallelism,
-) -> Result<(SliceForest, RunStats, ParStats), PipelineError> {
-    if par.is_serial() {
-        let (forest, stats) =
-            try_trace_and_slice_warm(program, scope, max_slice_len, budget, warmup)?;
-        return Ok((forest, stats, ParStats { threads: 1, ..ParStats::default() }));
-    }
-    let mut builder = SliceForestBuilder::try_new_deferred(scope, max_slice_len)?;
-    let trace_span = preexec_obs::global().span("stage.trace");
-    let stats = trace_into_builder(program, &mut builder, budget, warmup)?;
-    let deferred = builder.finish_deferred();
-    trace_span.finish();
-    let build_span = preexec_obs::global().span("stage.slice_build");
-    let (trees, pstats) = par::map_stats(par, deferred.pending(), PendingTree::build);
-    let forest = deferred.assemble(trees);
-    build_span.finish();
-    Ok((forest, stats, pstats))
 }
 
 /// On-demand re-execution trace+slice with checkpoint-bounded memory
@@ -311,13 +270,13 @@ pub(crate) fn trace_batch_par(
 /// slicing window**: only the sequence numbers of the L2-missing loads
 /// are remembered. Pass 2 re-executes bounded intervals from the nearest
 /// checkpoint ([`OnDemandSlicer`]) to reconstruct, for each recorded
-/// miss, exactly the slice the windowed path would have produced, then
-/// fans the per-PC slice banks out across `par` to build the trees.
+/// miss, exactly the slice the windowed path would have produced, and
+/// inserts it into its load's tree as it is extracted.
 ///
-/// The forest is **bit-identical** to [`trace_batch_par`]'s for any
-/// `checkpoint_every >= 1` (a cadence of 0 is clamped to 1) and any
-/// thread count: slices are extracted serially in trace order, and tree
-/// construction from a fixed slice bank is order-deterministic.
+/// The forest is **bit-identical** to [`try_trace_and_slice_warm`]'s for
+/// any `checkpoint_every >= 1` (a cadence of 0 is clamped to 1): slices
+/// are extracted and inserted in trace order, the order the windowed
+/// builder inserts them in.
 ///
 /// Peak slicing memory is `O(checkpoints + cache × checkpoint_every)`
 /// rather than `O(scope)`, so scopes far beyond what a resident
@@ -335,27 +294,26 @@ pub(crate) fn trace_ondemand(
     budget: u64,
     warmup: u64,
     checkpoint_every: u64,
-    par: Parallelism,
-) -> Result<(SliceForest, RunStats, ParStats), PipelineError> {
+) -> Result<(SliceForest, RunStats), PipelineError> {
     let config = trace_config(budget, warmup);
     let trace_span = preexec_obs::global().span("stage.trace");
     let mut stats = RunStats::new();
-    let mut exec_counts: Vec<u64> = Vec::new();
-    let mut observed: u64 = 0;
+    let mut bank = ForestBank::default();
     // (seq, pc, inst) of every measured L2-missing load, in trace order.
     let mut requests: Vec<(u64, Pc, Inst)> = Vec::new();
     // The sink cannot return early, so a malformed delta is latched here
     // and surfaced once the trace stops.
     let mut sink_fault: Option<ExecError> = None;
     let (full, trace) = try_run_trace_checkpointed(program, &config, checkpoint_every, |d| {
-        if sink_fault.is_some() {
+        if sink_fault.is_some() || d.seq < warmup {
             return;
         }
-        if let Err(e) = count_measured(&mut stats, &mut exec_counts, &mut observed, warmup, d) {
+        bank.count(d.pc);
+        if let Err(e) = record_measured(&mut stats, d) {
             sink_fault = Some(e);
             return;
         }
-        if d.seq >= warmup && d.is_l2_miss_load() {
+        if d.is_l2_miss_load() {
             requests.push((d.seq, d.pc, d.inst));
         }
     })?;
@@ -367,91 +325,15 @@ pub(crate) fn trace_ondemand(
 
     let reexec_span = preexec_obs::global().span("stage.reexec");
     let mut slicer = OnDemandSlicer::try_new(Replayer::new(program, &config, &trace), scope, max_slice_len)?;
-    // Slices bank per root PC in extraction (= trace) order, exactly the
-    // order the windowed deferred path accumulates them.
-    let mut banks: BTreeMap<Pc, (Inst, Vec<Vec<SliceEntry>>)> = BTreeMap::new();
     for &(seq, pc, inst) in &requests {
-        let slice = slicer.try_slice_at(seq)?;
-        banks.entry(pc).or_insert_with(|| (inst, Vec::new())).1.push(slice);
+        bank.insert(pc, inst, &slicer.try_slice_at(seq)?);
     }
     let reg = preexec_obs::global();
     reg.counter("checkpoint.count").add(trace.num_checkpoints() as u64);
     reg.counter("reexec.insts").add(slicer.reexec_insts());
     reg.gauge("reexec.peak_resident_insts").set(slicer.peak_resident_insts() as i64);
     reexec_span.finish();
-
-    let build_span = preexec_obs::global().span("stage.slice_build");
-    let items: Vec<(Pc, Inst, Vec<Vec<SliceEntry>>)> =
-        banks.into_iter().map(|(pc, (inst, slices))| (pc, inst, slices)).collect();
-    let (trees, pstats) = par::map_stats(par, &items, |(pc, inst, slices)| {
-        let mut tree = SliceTree::new(*pc, *inst);
-        for slice in slices {
-            tree.insert_slice(slice);
-        }
-        tree
-    });
-    let counts: Vec<(Pc, u64)> = exec_counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(pc, &c)| (pc as Pc, c))
-        .collect();
-    let forest = SliceForest::from_parts(trees, counts, observed);
-    build_span.finish();
-    Ok((forest, stats, pstats))
-}
-
-/// The statistics half of [`feed_measured`], for trace paths that keep
-/// no slicing window: counts one dynamic instruction into the trace
-/// stats and the per-PC execution counts, skipping warm-up instructions
-/// entirely. Kept byte-for-byte equivalent to the counting
-/// [`feed_measured`] performs so the on-demand path reproduces the
-/// windowed path's `RunStats` and `DC_trig` exactly.
-fn count_measured(
-    stats: &mut RunStats,
-    exec_counts: &mut Vec<u64>,
-    observed: &mut u64,
-    warmup: u64,
-    d: &DynInst,
-) -> Result<(), ExecError> {
-    if d.seq < warmup {
-        return Ok(());
-    }
-    *observed += 1;
-    let pc = d.pc as usize;
-    if pc >= exec_counts.len() {
-        exec_counts.resize(pc + 1, 0);
-    }
-    exec_counts[pc] += 1;
-    stats.insts += 1;
-    match d.inst.op.class() {
-        preexec_isa::OpClass::Load => match d.level {
-            Some(level) => stats.record_load(d.pc, level),
-            None => {
-                return Err(ExecError::Malformed {
-                    pc: d.pc,
-                    reason: "load reported no cache level",
-                })
-            }
-        },
-        preexec_isa::OpClass::Store => match d.level {
-            Some(level) => stats.record_store(level),
-            None => {
-                return Err(ExecError::Malformed {
-                    pc: d.pc,
-                    reason: "store reported no cache level",
-                })
-            }
-        },
-        preexec_isa::OpClass::Branch => {
-            stats.branches += 1;
-            if d.taken {
-                stats.taken_branches += 1;
-            }
-        }
-        _ => {}
-    }
-    Ok(())
+    Ok((bank.finish(), stats))
 }
 
 /// Streaming trace+slice with bounded memory: the functional trace runs
@@ -459,8 +341,7 @@ fn count_measured(
 /// SPSC channel ([`preexec_func::try_run_trace_chunked`]); slice-window
 /// construction consumes chunks incrementally on the calling thread,
 /// retiring instructions out of the window as they age past the scope.
-/// Peak memory is `O(scope + chunk)`, not `O(trace)` — and unlike the
-/// deferred batch path, no per-miss slice bank accumulates — while trace
+/// Peak memory is `O(scope + chunk)`, not `O(trace)`, while trace
 /// generation overlaps slice construction (pipeline parallelism).
 ///
 /// The result is **bit-identical** to [`try_trace_and_slice_warm`]: the
@@ -479,44 +360,11 @@ pub fn try_trace_and_slice_streamed(
     stream: &StreamConfig,
 ) -> Result<(SliceForest, RunStats, StreamRunStats), PipelineError> {
     let mut builder = SliceForestBuilder::try_new(scope, max_slice_len)?;
-    let config = trace_config(budget, warmup);
-    let trace_span = preexec_obs::global().span("stage.trace");
-    let mut stats = RunStats::new();
-    let mut sink_fault: Option<ExecError> = None;
-    let mut peak: usize = 0;
-    let (full, sstats) = try_run_trace_chunked(program, &config, stream, |chunk| {
-        // The occupancy high-water mark: everything the slicer holds while
-        // working a chunk is the window plus the chunk itself.
-        peak = peak.max(builder.window_len() + chunk.len());
-        if sink_fault.is_some() {
-            return; // drain the channel; the latched fault wins
-        }
-        for d in chunk {
-            if let Err(e) = feed_measured(&mut builder, &mut stats, warmup, d) {
-                sink_fault = Some(e);
-                return;
-            }
-        }
-    })?;
-    if let Some(e) = sink_fault {
-        return Err(e.into());
-    }
-    stats.total_steps = full.total_steps;
-    trace_span.finish();
+    let (stats, stream_stats) =
+        trace_chunked(program, &mut builder, budget, warmup, stream, |_, _| {})?;
     let build_span = preexec_obs::global().span("stage.slice_build");
     let forest = builder.finish();
     build_span.finish();
-
-    let stream_stats = StreamRunStats {
-        chunks: sstats.chunks,
-        peak_window_insts: peak as u64,
-        backpressure_stalls_us: sstats.producer_stall_us,
-        consumer_stalls_us: sstats.consumer_stall_us,
-    };
-    let reg = preexec_obs::global();
-    reg.counter("stream.chunks").add(stream_stats.chunks);
-    reg.counter("stream.backpressure_stalls_us").add(stream_stats.backpressure_stalls_us);
-    reg.gauge("stream.peak_window_insts").set(peak as i64);
     Ok((forest, stats, stream_stats))
 }
 
@@ -552,64 +400,25 @@ pub fn try_trace_and_slice_phased(
 ) -> Result<(PhasedForest, RunStats, StreamRunStats), PipelineError> {
     let mut builder = PhasedForestBuilder::try_new(scope, max_slice_len)?;
     let mut detector = PhaseDetector::new(*phase_cfg);
-    let config = trace_config(budget, warmup);
-    let trace_span = preexec_obs::global().span("stage.trace");
-    let mut stats = RunStats::new();
-    let mut sink_fault: Option<ExecError> = None;
-    let mut peak: usize = 0;
-    let (full, sstats) = try_run_trace_chunked(program, &config, stream, |chunk| {
-        peak = peak.max(builder.window_len() + chunk.len());
-        if sink_fault.is_some() {
-            return; // drain the channel; the latched fault wins
-        }
-        // Summarize the measured part of the chunk first: the detector
-        // decides whether a new phase begins *with* this chunk, before
-        // any of its instructions are sliced.
-        let mut summary = ChunkSummary::default();
-        for d in chunk {
-            if d.seq < warmup {
-                continue;
+    let (stats, stream_stats) =
+        trace_chunked(program, &mut builder, budget, warmup, stream, |builder, chunk| {
+            // The detector decides whether a new phase begins *with* this
+            // chunk, from the chunk's measured part alone.
+            let mut summary = ChunkSummary::default();
+            for d in chunk.iter().filter(|d| d.seq >= warmup) {
+                summary.insts += 1;
+                if d.is_l2_miss_load() {
+                    summary.l2_misses += 1;
+                }
             }
-            summary.insts += 1;
-            if d.is_l2_miss_load() {
-                summary.l2_misses += 1;
+            if detector.observe_chunk(summary) {
+                builder.begin_phase();
             }
-        }
-        if detector.observe_chunk(summary) {
-            builder.begin_phase();
-        }
-        for d in chunk {
-            if d.seq < warmup {
-                builder.observe_warmup(d);
-                continue;
-            }
-            builder.observe(d);
-            if let Err(e) = record_measured(&mut stats, d) {
-                sink_fault = Some(e);
-                return;
-            }
-        }
-    })?;
-    if let Some(e) = sink_fault {
-        return Err(e.into());
-    }
-    stats.total_steps = full.total_steps;
-    trace_span.finish();
+        })?;
     let build_span = preexec_obs::global().span("stage.slice_build");
     let phased = builder.finish();
     build_span.finish();
-
-    let stream_stats = StreamRunStats {
-        chunks: sstats.chunks,
-        peak_window_insts: peak as u64,
-        backpressure_stalls_us: sstats.producer_stall_us,
-        consumer_stalls_us: sstats.consumer_stall_us,
-    };
-    let reg = preexec_obs::global();
-    reg.counter("stream.chunks").add(stream_stats.chunks);
-    reg.counter("stream.backpressure_stalls_us").add(stream_stats.backpressure_stalls_us);
-    reg.gauge("stream.peak_window_insts").set(peak as i64);
-    reg.gauge("phase.count").set(phased.phases.len() as i64);
+    preexec_obs::global().gauge("phase.count").set(phased.phases.len() as i64);
     Ok((phased, stats, stream_stats))
 }
 
@@ -623,15 +432,100 @@ fn trace_config(budget: u64, warmup: u64) -> TraceConfig {
     }
 }
 
+/// A windowed forest builder a trace path can feed: the plain
+/// [`SliceForestBuilder`] or the [`PhasedForestBuilder`].
+trait WindowedBuilder {
+    fn window_len(&self) -> usize;
+    fn observe_warmup(&mut self, d: &DynInst);
+    fn observe(&mut self, d: &DynInst);
+}
+
+impl WindowedBuilder for SliceForestBuilder {
+    fn window_len(&self) -> usize {
+        self.window_len()
+    }
+    fn observe_warmup(&mut self, d: &DynInst) {
+        self.observe_warmup(d);
+    }
+    fn observe(&mut self, d: &DynInst) {
+        self.observe(d);
+    }
+}
+
+impl WindowedBuilder for PhasedForestBuilder {
+    fn window_len(&self) -> usize {
+        self.window_len()
+    }
+    fn observe_warmup(&mut self, d: &DynInst) {
+        self.observe_warmup(d);
+    }
+    fn observe(&mut self, d: &DynInst) {
+        self.observe(d);
+    }
+}
+
+/// The chunked trace loop shared by the streamed and phased paths: runs
+/// the tracer on its producer thread and feeds every chunk to `builder`,
+/// after `before_chunk` has seen the whole chunk (the phased path's
+/// detector hook). Tracks the window-plus-chunk high-water mark, latches
+/// the first malformed delta, and mirrors the transport counters into
+/// the [`preexec_obs`] registry.
+fn trace_chunked<B: WindowedBuilder>(
+    program: &Program,
+    builder: &mut B,
+    budget: u64,
+    warmup: u64,
+    stream: &StreamConfig,
+    mut before_chunk: impl FnMut(&mut B, &[DynInst]),
+) -> Result<(RunStats, StreamRunStats), PipelineError> {
+    let config = trace_config(budget, warmup);
+    let trace_span = preexec_obs::global().span("stage.trace");
+    let mut stats = RunStats::new();
+    let mut sink_fault: Option<ExecError> = None;
+    let mut peak: usize = 0;
+    let (full, sstats) = try_run_trace_chunked(program, &config, stream, |chunk| {
+        // The occupancy high-water mark: everything the slicer holds while
+        // working a chunk is the window plus the chunk itself.
+        peak = peak.max(builder.window_len() + chunk.len());
+        if sink_fault.is_some() {
+            return; // drain the channel; the latched fault wins
+        }
+        before_chunk(builder, chunk);
+        for d in chunk {
+            if let Err(e) = feed_measured(builder, &mut stats, warmup, d) {
+                sink_fault = Some(e);
+                return;
+            }
+        }
+    })?;
+    if let Some(e) = sink_fault {
+        return Err(e.into());
+    }
+    stats.total_steps = full.total_steps;
+    trace_span.finish();
+
+    let stream_stats = StreamRunStats {
+        chunks: sstats.chunks,
+        peak_window_insts: peak as u64,
+        backpressure_stalls_us: sstats.producer_stall_us,
+        consumer_stalls_us: sstats.consumer_stall_us,
+    };
+    let reg = preexec_obs::global();
+    reg.counter("stream.chunks").add(stream_stats.chunks);
+    reg.counter("stream.backpressure_stalls_us").add(stream_stats.backpressure_stalls_us);
+    reg.gauge("stream.peak_window_insts").set(peak as i64);
+    Ok((stats, stream_stats))
+}
+
 /// Feeds one dynamic instruction into the forest builder and the trace
-/// statistics — the single per-instruction step every trace+slice path
-/// (batch immediate, batch deferred, streamed) replays identically.
+/// statistics — the single per-instruction step every windowed
+/// trace+slice path (batch, streamed, phased) replays identically.
 ///
 /// Warm-up instructions warm the caches *and* the slicing window (so
 /// early measured slices can reach back through them) but are not
 /// counted or sliced.
-fn feed_measured(
-    builder: &mut SliceForestBuilder,
+fn feed_measured<B: WindowedBuilder>(
+    builder: &mut B,
     stats: &mut RunStats,
     warmup: u64,
     d: &DynInst,
@@ -645,7 +539,7 @@ fn feed_measured(
 }
 
 /// The trace-statistics update for one measured instruction — shared by
-/// [`feed_measured`] and the phased streaming path so both count loads,
+/// [`feed_measured`] and the on-demand path so every path counts loads,
 /// stores, and branches identically.
 fn record_measured(stats: &mut RunStats, d: &DynInst) -> Result<(), ExecError> {
     stats.insts += 1;
@@ -677,35 +571,6 @@ fn record_measured(stats: &mut RunStats, d: &DynInst) -> Result<(), ExecError> {
         _ => {}
     }
     Ok(())
-}
-
-/// The serial trace loop shared by the immediate and deferred slicing
-/// paths: runs the functional cache simulator, feeding every dynamic
-/// instruction to `builder` and accumulating the trace statistics.
-fn trace_into_builder(
-    program: &Program,
-    builder: &mut SliceForestBuilder,
-    budget: u64,
-    warmup: u64,
-) -> Result<RunStats, PipelineError> {
-    let config = trace_config(budget, warmup);
-    let mut stats = RunStats::new();
-    // The sink cannot return early, so a malformed delta is latched here
-    // and surfaced once the trace stops.
-    let mut sink_fault: Option<ExecError> = None;
-    let full = try_run_trace(program, &config, |d| {
-        if sink_fault.is_some() {
-            return;
-        }
-        if let Err(e) = feed_measured(builder, &mut stats, warmup, d) {
-            sink_fault = Some(e);
-        }
-    })?;
-    if let Some(e) = sink_fault {
-        return Err(e.into());
-    }
-    stats.total_steps = full.total_steps;
-    Ok(stats)
 }
 
 /// The [`SelectionParams`] implied by a pipeline config and a measured
@@ -773,23 +638,7 @@ pub fn try_sim(
 }
 
 /// Stage: the unassisted timing run (whose IPC feeds the selection
-/// model). Equivalent to [`try_sim`] with no p-threads in
-/// [`SimMode::Normal`], named so callers that schedule and time the
-/// pipeline stage-by-stage (the batch service) can invoke it directly.
-///
-/// # Errors
-///
-/// Same as [`try_sim`].
-#[deprecated(note = "use the `Pipeline` builder; its output carries the base sim")]
-pub fn try_base_sim(
-    program: &Program,
-    cfg: &PipelineConfig,
-) -> Result<SimResult, PipelineError> {
-    base_sim_stage(program, cfg)
-}
-
-/// Implementation of the base-sim stage (behind the deprecated
-/// [`try_base_sim`] and the builder).
+/// model), timed under the `stage.base_sim` span.
 pub(crate) fn base_sim_stage(
     program: &Program,
     cfg: &PipelineConfig,
@@ -798,25 +647,8 @@ pub(crate) fn base_sim_stage(
     try_sim(program, &[], cfg, SimMode::Normal)
 }
 
-/// Stage: the p-thread-assisted timing run. Equivalent to [`try_sim`]
-/// with the selection's p-threads in [`SimMode::Normal`]; the named
-/// wrapper exists so both the monolithic pipeline and the batch service
-/// time the stage under the same `stage.assisted_sim` span.
-///
-/// # Errors
-///
-/// Same as [`try_sim`].
-#[deprecated(note = "use the `Pipeline` builder; its output carries the assisted sim")]
-pub fn try_assisted_sim(
-    program: &Program,
-    pthreads: &[StaticPThread],
-    cfg: &PipelineConfig,
-) -> Result<SimResult, PipelineError> {
-    assisted_sim_stage(program, pthreads, cfg)
-}
-
-/// Implementation of the assisted-sim stage (behind the deprecated
-/// [`try_assisted_sim`] and the builder).
+/// Stage: the p-thread-assisted timing run, timed under the
+/// `stage.assisted_sim` span.
 pub(crate) fn assisted_sim_stage(
     program: &Program,
     pthreads: &[StaticPThread],
@@ -828,44 +660,7 @@ pub(crate) fn assisted_sim_stage(
 
 /// Stage: p-thread selection against a slice forest and a measured base
 /// IPC. Derives the model parameters from `cfg` (see
-/// [`selection_params`]), validates them, and runs the selector.
-///
-/// This is the cheap stage of the decoupled toolflow: given a cached
-/// forest, re-selection under new machine parameters needs no re-trace.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Params`] if the derived selection parameters
-/// are invalid.
-#[deprecated(note = "use `Pipeline::new(program).artifacts(...).run()` instead")]
-pub fn try_select(
-    forest: &SliceForest,
-    cfg: &PipelineConfig,
-    base_ipc: f64,
-) -> Result<Selection, PipelineError> {
-    select_stage(forest, cfg, base_ipc, Parallelism::serial(), true).map(|(s, _, _)| s)
-}
-
-/// [`try_select`] with intra-stage parallelism (see
-/// [`preexec_core::select_pthreads_par`] for the fan-out and the
-/// byte-identity guarantee), returning the stage's utilization counters
-/// alongside the selection.
-///
-/// # Errors
-///
-/// Same as [`try_select`].
-#[deprecated(note = "use `Pipeline::new(program).threads(n).artifacts(...).run()` instead")]
-pub fn try_select_par(
-    forest: &SliceForest,
-    cfg: &PipelineConfig,
-    base_ipc: f64,
-    par: Parallelism,
-) -> Result<(Selection, ParStats), PipelineError> {
-    select_stage(forest, cfg, base_ipc, par, true).map(|(s, p, _)| (s, p))
-}
-
-/// Implementation of the selection stage (behind the deprecated
-/// [`try_select`]/[`try_select_par`] and the builder). `screening`
+/// [`selection_params`]) and runs the selector. `screening`
 /// toggles the static ADVagg upper-bound pre-pass; the selected set is
 /// byte-identical either way (the screen only prunes candidates that
 /// cannot score positive), so `false` exists purely for benchmarking the
@@ -1025,68 +820,6 @@ pub(crate) fn select_adaptive_stage(
     Ok((Selection { pthreads: union, prediction: agg }, report, pstats, sstats))
 }
 
-/// Finishes a pipeline run from pre-computed trace artifacts: base sim,
-/// selection, assisted sim. The expensive trace+slice stage is skipped
-/// entirely — this is the entry point for artifact-cache hits, where the
-/// forest and stats were produced by an earlier run with the same
-/// (workload, input, trace config) and only the machine/model
-/// configuration changed.
-///
-/// Given artifacts from [`try_trace_and_slice_warm`] under the same
-/// `cfg`, the result is identical to [`try_run_pipeline`]: the stages
-/// are mutually independent and individually deterministic.
-///
-/// # Errors
-///
-/// Same taxonomy as [`try_run_pipeline`], minus the trace stage.
-#[deprecated(note = "use `Pipeline::new(program).artifacts(forest, stats).run()` instead")]
-pub fn try_run_pipeline_with_artifacts(
-    program: &Program,
-    cfg: &PipelineConfig,
-    forest: &SliceForest,
-    stats: RunStats,
-) -> Result<PipelineResult, PipelineError> {
-    finish_with_artifacts(program, cfg, forest, stats, Parallelism::serial()).map(|(r, _)| r)
-}
-
-/// [`try_run_pipeline_with_artifacts`] with intra-stage parallelism for
-/// the selection stage (the sims are inherently serial), returning the
-/// selection stage's utilization counters.
-///
-/// # Errors
-///
-/// Same as [`try_run_pipeline_with_artifacts`].
-#[deprecated(
-    note = "use `Pipeline::new(program).threads(n).artifacts(forest, stats).run()` instead"
-)]
-pub fn try_run_pipeline_with_artifacts_par(
-    program: &Program,
-    cfg: &PipelineConfig,
-    forest: &SliceForest,
-    stats: RunStats,
-    par: Parallelism,
-) -> Result<(PipelineResult, ParStats), PipelineError> {
-    finish_with_artifacts(program, cfg, forest, stats, par)
-}
-
-/// Finishes a run from trace artifacts: base sim, select, assisted sim
-/// (the implementation behind the deprecated artifact entry points and
-/// the builder's post-trace half).
-pub(crate) fn finish_with_artifacts(
-    program: &Program,
-    cfg: &PipelineConfig,
-    forest: &SliceForest,
-    stats: RunStats,
-    par: Parallelism,
-) -> Result<(PipelineResult, ParStats), PipelineError> {
-    cfg.try_validate()?;
-    preexec_obs::global().counter("pipeline.runs").inc();
-    let base = base_sim_stage(program, cfg)?;
-    let (selection, pstats, _) = select_stage(forest, cfg, base.ipc(), par, true)?;
-    let assisted = assisted_sim_stage(program, &selection.pthreads, cfg)?;
-    Ok((PipelineResult { stats, base, selection, assisted }, pstats))
-}
-
 /// Full pipeline: trace, slice, select against the measured base IPC, and
 /// measure the assisted machine.
 ///
@@ -1113,41 +846,7 @@ pub fn try_run_pipeline(
     program: &Program,
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
-    run_full_par(program, cfg, Parallelism::serial()).map(|(r, _)| r)
-}
-
-/// [`try_run_pipeline`] with the intra-job parallelism knob threaded
-/// through every stage that fans out (slice-tree construction and
-/// selection), plus the per-stage utilization counters.
-///
-/// The [`PipelineResult`] is **byte-identical** for every thread count —
-/// this is the contract pinned by `tests/determinism.rs`.
-///
-/// # Errors
-///
-/// Same as [`try_run_pipeline`].
-#[deprecated(note = "use `Pipeline::new(program).threads(n).run()` instead")]
-pub fn try_run_pipeline_par(
-    program: &Program,
-    cfg: &PipelineConfig,
-    par: Parallelism,
-) -> Result<(PipelineResult, PipelineParStats), PipelineError> {
-    run_full_par(program, cfg, par)
-}
-
-/// Full pipeline with the parallelism knob (the implementation behind
-/// [`try_run_pipeline`], the deprecated [`try_run_pipeline_par`], and
-/// the builder's batch path).
-pub(crate) fn run_full_par(
-    program: &Program,
-    cfg: &PipelineConfig,
-    par: Parallelism,
-) -> Result<(PipelineResult, PipelineParStats), PipelineError> {
-    cfg.try_validate()?;
-    let (forest, stats, slice_stats) =
-        trace_batch_par(program, cfg.scope, cfg.max_slice_len, cfg.budget, cfg.warmup, par)?;
-    let (result, select_stats) = finish_with_artifacts(program, cfg, &forest, stats, par)?;
-    Ok((result, PipelineParStats { slice: slice_stats, select: select_stats }))
+    crate::Pipeline::new(program).config(*cfg).run().map(|out| out.result)
 }
 
 /// Selects p-threads from one program sample (e.g. a test input or a
@@ -1299,34 +998,6 @@ mod tests {
         let p = w.build(InputSet::Train);
         let cfg = PipelineConfig { budget: 0, ..quick_cfg() };
         assert_eq!(try_run_pipeline(&p, &cfg).unwrap_err(), PipelineError::ZeroBudget);
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the deprecated artifact entry point
-    fn staged_pipeline_matches_monolithic() {
-        // The artifact-reuse path (cache hit: trace once, finish twice)
-        // must reproduce the monolithic run bit-for-bit — this is the
-        // correctness contract the service's cache relies on.
-        let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
-        let p = w.build(InputSet::Train);
-        let cfg = quick_cfg();
-        let whole = try_run_pipeline(&p, &cfg).unwrap();
-        let (forest, stats) =
-            try_trace_and_slice_warm(&p, cfg.scope, cfg.max_slice_len, cfg.budget, cfg.warmup)
-                .unwrap();
-        let staged = try_run_pipeline_with_artifacts(&p, &cfg, &forest, stats).unwrap();
-        assert_eq!(staged.base.cycles, whole.base.cycles);
-        assert_eq!(staged.base.insts, whole.base.insts);
-        assert_eq!(staged.assisted.cycles, whole.assisted.cycles);
-        assert_eq!(staged.assisted.insts, whole.assisted.insts);
-        assert_eq!(staged.selection.pthreads.len(), whole.selection.pthreads.len());
-        for (a, b) in staged.selection.pthreads.iter().zip(&whole.selection.pthreads) {
-            assert_eq!(a.trigger, b.trigger);
-            assert_eq!(a.targets, b.targets);
-            assert_eq!(a.body.len(), b.body.len());
-        }
-        assert_eq!(staged.stats.insts, whole.stats.insts);
-        assert_eq!(staged.stats.l2_misses, whole.stats.l2_misses);
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //! The equality half is a property test over randomized pointer-chase
 //! programs *and* randomized transport geometry, so it covers chunk
 //! boundaries landing anywhere relative to warm-up ends, problem loads,
-//! and window retirement.
+//! and window retirement. The same cases run the adaptive (phased) path
+//! under randomized phase-detector knobs: its global forest must equal
+//! the batch forest, and its phases must partition the global
+//! instruction and miss totals.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec_experiments::{Pipeline, PipelineConfig, PolicySpec, StreamConfig};
+use preexec_experiments::{AdaptiveConfig, Pipeline, PipelineConfig, PolicySpec, StreamConfig};
 use preexec_isa::{Program, ProgramBuilder, Reg};
 use preexec_slice::write_forest;
 use preexec_workloads::{suite, InputSet};
@@ -64,8 +67,10 @@ fn chase_program(seed: u64, table_pow: u32, stride: u64, filler: u8) -> Program 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Streaming == batch over random programs and random transport
-    /// geometry: same forest bytes, same trace stats.
+    /// Streaming == batch == adaptive-global over random programs,
+    /// random transport geometry and random phase-detector knobs: same
+    /// forest bytes, same trace stats, and phases that partition the
+    /// global totals.
     #[test]
     fn streaming_equals_batch_on_random_programs(
         seed in any::<u64>(),
@@ -75,6 +80,10 @@ proptest! {
         chunk_insts in 1usize..3000,     // degenerate 1-inst chunks included
         channel_chunks in 1usize..5,
         budget in 1_000u64..6_000,
+        phase_chunk_insts in 16usize..1024,
+        threshold_permille in 1u64..1000,
+        confirm in 1u64..4,
+        min_phase_chunks in 1u64..5,
     ) {
         let p = chase_program(seed, table_pow, stride, filler);
         let cfg = PipelineConfig::paper_default(budget);
@@ -92,6 +101,23 @@ proptest! {
         let s = streamed.stream.expect("streaming path reports transport stats");
         prop_assert!(s.chunks > 0);
         prop_assert!(s.peak_window_insts <= cfg.scope as u64 + chunk_insts as u64);
+
+        let adaptive =
+            AdaptiveConfig { enabled: true, threshold_permille, confirm, min_phase_chunks };
+        let out = Pipeline::new(&p)
+            .policy(PolicySpec { cfg, adaptive, ..PolicySpec::default() })
+            .stream_config(StreamConfig { chunk_insts: phase_chunk_insts, channel_chunks })
+            .run()
+            .unwrap();
+        prop_assert_eq!(write_forest(&out.forest), write_forest(&batch.forest));
+        prop_assert_eq!(format!("{:?}", out.result.stats), format!("{:?}", batch.stats));
+        let phases = out.adaptive.expect("adaptive run reports its phases").phases;
+        prop_assert!(!phases.is_empty());
+        prop_assert_eq!(phases.iter().map(|ph| ph.insts).sum::<u64>(), out.forest.sample_insts());
+        prop_assert_eq!(
+            phases.iter().map(|ph| ph.l2_misses).sum::<u64>(),
+            out.forest.total_misses()
+        );
     }
 }
 

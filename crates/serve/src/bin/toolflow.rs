@@ -12,11 +12,12 @@
 //! submission order, so it is byte-identical for every `N`; `--jobs 1`
 //! additionally *executes* serially, matching the historical behaviour.
 //!
-//! `--threads N` (default 1) additionally parallelizes the slice-tree
-//! construction and candidate scoring *inside* each workload run via
-//! `preexec_core::par`. Results are bit-identical for every `N` — the
-//! fan-outs merge in input order and cross-item accumulation stays
-//! serial (DESIGN.md §11) — so the two knobs compose freely:
+//! `--threads N` (default 1) additionally parallelizes selection —
+//! candidate scoring and per-tree solving — *inside* each workload run
+//! via `preexec_core::par`; the trace and the slice-tree build stay
+//! serial. Results are bit-identical for every `N` — the fan-outs merge
+//! in input order and cross-item accumulation stays serial (DESIGN.md
+//! §11) — so the two knobs compose freely:
 //! `--jobs` trades throughput across workloads, `--threads` latency
 //! within one.
 //!
@@ -102,6 +103,7 @@ use preexec_experiments::{
     Pipeline, PipelineError, PolicySpec, SlicingMode, DEFAULT_CHECKPOINT_EVERY,
 };
 use preexec_serve::json::Json;
+use preexec_serve::proto::policy_json;
 use preexec_serve::retry::{retry_with_backoff, Backoff};
 use preexec_serve::scheduler::{JobCompletion, Scheduler};
 use preexec_slice::{read_forest, read_forest_lenient, write_forest, SliceForest};
@@ -445,35 +447,6 @@ fn parse_slice_mode(v: &str) -> Result<SlicingMode, Failure> {
     Err(Failure::new(2, format!("bad slice mode `{v}` (windowed or ondemand[:N])")))
 }
 
-/// The nested v6 `policy` submit object for daemon mode: the resolved
-/// [`PolicySpec`], every field explicit (no flat v5 spellings).
-fn policy_object(spec: &PolicySpec) -> Json {
-    let mut fields = Vec::new();
-    match spec.slicing {
-        SlicingMode::Windowed => fields.push(("slice_mode", Json::str("windowed"))),
-        SlicingMode::OnDemand { checkpoint_every } => {
-            fields.push(("slice_mode", Json::str("ondemand")));
-            fields.push(("checkpoint_every", Json::num_u64(checkpoint_every)));
-        }
-    }
-    fields.push(("screening", Json::Bool(spec.screening)));
-    fields.push(("streaming", Json::Bool(spec.streaming)));
-    let a = spec.adaptive;
-    fields.push((
-        "adaptive",
-        Json::obj(vec![
-            ("enabled", Json::Bool(a.enabled)),
-            ("threshold_permille", Json::num_u64(a.threshold_permille)),
-            ("confirm", Json::num_u64(a.confirm)),
-            ("min_phase_chunks", Json::num_u64(a.min_phase_chunks)),
-        ]),
-    ));
-    if let Some(ms) = spec.deadline_ms {
-        fields.push(("deadline_ms", Json::num_u64(ms)));
-    }
-    Json::obj(fields)
-}
-
 /// One connection to a preexecd, with the line-oriented request/response
 /// helper daemon mode needs. Requests carry no `id`: this client reads
 /// each response before writing the next request, so ordering alone
@@ -534,7 +507,7 @@ fn run_daemon(
                         Json::obj(vec![
                             ("workload", Json::str(w.name)),
                             ("budget", Json::num_u64(budget)),
-                            ("policy", policy_object(spec)),
+                            ("policy", policy_json(spec)),
                         ])
                     })
                     .collect(),

@@ -617,7 +617,7 @@ fn check_scope_cap(scope: u64, mode: SlicingMode) -> Result<(), ProtoError> {
 }
 
 /// Serializes a [`JobSpec`] back into the submit-object shape
-/// [`parse_submit`] accepts, every field explicit — the durable
+/// `parse_submit` accepts, every field explicit — the durable
 /// journal's `spec` payload. Round-trip exactness is what lets a
 /// restarted daemon re-run the job byte-identically.
 pub fn spec_json(spec: &JobSpec) -> Json {
@@ -646,8 +646,9 @@ pub fn spec_json(spec: &JobSpec) -> Json {
 }
 
 /// The canonical nested `policy` object: every field explicit, fixed
-/// order, no flat v5 spellings — what the journal persists.
-fn policy_json(p: &PolicySpec) -> Json {
+/// order, no flat v5 spellings — what the journal persists and what
+/// `toolflow --daemon` submits.
+pub fn policy_json(p: &PolicySpec) -> Json {
     let mut fields = Vec::new();
     match p.slicing {
         SlicingMode::Windowed => fields.push(("slice_mode", Json::str("windowed"))),

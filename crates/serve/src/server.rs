@@ -8,7 +8,7 @@
 //! dispatch runs on the reactor thread — it only enqueues scheduler work,
 //! so the single thread is never the bottleneck. The original
 //! thread-per-connection loop remains as the non-Linux front end and
-//! behind `--threaded`; both share [`dispatch`], so the protocol is
+//! behind `--threaded`; both share `dispatch`, so the protocol is
 //! identical. In the threaded loop, reads carry a short timeout so
 //! handler threads notice a daemon shutdown promptly instead of blocking
 //! forever on an idle client, which keeps the final join bounded.
@@ -70,11 +70,12 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker-pool size (0 means one worker per available core).
     pub workers: usize,
-    /// Intra-job threads per worker for the parallelizable pipeline
-    /// stages (0 means `cores / workers`, at least 1). Total analysis
-    /// threads are bounded by `workers × job_threads`: each stage holds
-    /// its scoped threads only while it runs, so the default keeps the
-    /// daemon at about one thread per core whatever the worker count.
+    /// Intra-job threads per worker for the selection stage, the only
+    /// stage that fans out (0 means `cores / workers`, at least 1).
+    /// Total analysis threads are bounded by `workers × job_threads`:
+    /// the stage holds its scoped threads only while it runs, so the
+    /// default keeps the daemon at about one thread per core whatever
+    /// the worker count.
     pub job_threads: usize,
     /// Bounded job-queue capacity.
     pub queue_cap: usize,

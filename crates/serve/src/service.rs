@@ -4,8 +4,8 @@
 //! A job is (workload, input, [`PipelineConfig`]). Execution goes
 //! through the [`Pipeline`] builder, whose output separates the four
 //! stages — so the expensive trace+slice stage can be served from the
-//! [`ArtifactCache`] and each stage's wall-clock latency lands in its
-//! own [`Histogram`]:
+//! [`ArtifactCache`](crate::cache::ArtifactCache) and each stage's
+//! wall-clock latency lands in its own [`Histogram`]:
 //!
 //! 1. **trace+slice** (cacheable): keyed by everything it depends on;
 //! 2. **base sim**: machine-dependent, always runs;
@@ -174,45 +174,37 @@ pub struct StageMicros {
 }
 
 /// Service-wide intra-job parallelism counters: cumulative busy/wall
-/// time per parallelized stage, from which the `stats` command derives
-/// the achieved per-stage speedup (`busy / wall` ≈ effective threads).
+/// time of the selection stage (the only stage that fans out), from
+/// which the `stats` command derives the achieved speedup
+/// (`busy / wall` ≈ effective threads).
 #[derive(Debug, Default)]
 pub struct ParCounters {
-    slice_wall_us: AtomicU64,
-    slice_busy_us: AtomicU64,
     select_wall_us: AtomicU64,
     select_busy_us: AtomicU64,
 }
 
 impl ParCounters {
-    /// Accumulates one job's slice-tree-build stage counters.
-    pub fn record_slice(&self, s: &ParStats) {
-        self.slice_wall_us.fetch_add(s.wall_us, Ordering::Relaxed);
-        self.slice_busy_us.fetch_add(s.busy_us, Ordering::Relaxed);
-    }
-
     /// Accumulates one job's selection-stage counters.
     pub fn record_select(&self, s: &ParStats) {
         self.select_wall_us.fetch_add(s.wall_us, Ordering::Relaxed);
         self.select_busy_us.fetch_add(s.busy_us, Ordering::Relaxed);
     }
 
-    /// Serializes both stages as `{wall_us, busy_us, speedup}` objects.
+    /// Serializes the selection stage as `{"select": {wall_us, busy_us,
+    /// speedup}}`.
     pub fn to_json(&self) -> crate::json::Json {
-        fn stage(wall: &AtomicU64, busy: &AtomicU64) -> crate::json::Json {
-            let wall = wall.load(Ordering::Relaxed);
-            let busy = busy.load(Ordering::Relaxed);
-            let speedup = if wall == 0 { 1.0 } else { busy as f64 / wall as f64 };
-            crate::json::Json::obj(vec![
-                ("wall_us", crate::json::Json::num_u64(wall)),
-                ("busy_us", crate::json::Json::num_u64(busy)),
-                ("speedup", crate::json::Json::Num(speedup)),
-            ])
-        }
-        crate::json::Json::obj(vec![
-            ("slice", stage(&self.slice_wall_us, &self.slice_busy_us)),
-            ("select", stage(&self.select_wall_us, &self.select_busy_us)),
-        ])
+        use crate::json::Json;
+        let wall = self.select_wall_us.load(Ordering::Relaxed);
+        let busy = self.select_busy_us.load(Ordering::Relaxed);
+        let speedup = if wall == 0 { 1.0 } else { busy as f64 / wall as f64 };
+        Json::obj(vec![(
+            "select",
+            Json::obj(vec![
+                ("wall_us", Json::num_u64(wall)),
+                ("busy_us", Json::num_u64(busy)),
+                ("speedup", Json::Num(speedup)),
+            ]),
+        )])
     }
 }
 
@@ -284,11 +276,11 @@ pub struct JobOutput {
 /// [`JobCompletion::Failed`]; watchdog-truncated timing runs become
 /// [`JobCompletion::TimedOut`] with the (valid) result attached.
 ///
-/// `par` is the *intra-job* thread knob: the slice-tree build and the
-/// selection fan-outs may use up to that many scoped threads while this
-/// job runs (the daemon sizes it against the scheduler pool so
-/// `workers × job_threads` stays bounded by the machine). The job's
-/// result is byte-identical for every setting.
+/// `par` is the *intra-job* thread knob: the selection fan-outs may use
+/// up to that many scoped threads while this job runs (the daemon sizes
+/// it against the scheduler pool so `workers × job_threads` stays
+/// bounded by the machine). The trace, the slice-tree build and the sims
+/// are serial. The job's result is byte-identical for every setting.
 ///
 /// Note: a trace cut by its instruction budget (`RunStats::timed_out`) is
 /// the *normal* sampling mode, not a job timeout — only the timing sims'
@@ -349,12 +341,9 @@ pub fn run_job(
         ) => return JobCompletion::Cancelled(e),
         Err(e) => return JobCompletion::Failed(e),
     };
-    if !cache_hit {
-        hists.par.record_slice(&out.par.slice);
-        if cacheable {
-            // A failed store only costs a future recompute.
-            let _ = cache.store(&key, &out.forest, &out.result.stats);
-        }
+    if !cache_hit && cacheable {
+        // A failed store only costs a future recompute.
+        let _ = cache.store(&key, &out.forest, &out.result.stats);
     }
     hists.par.record_select(&out.par.select);
     let stage_us = StageMicros {

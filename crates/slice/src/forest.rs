@@ -6,18 +6,49 @@ use preexec_func::DynInst;
 use preexec_isa::{Inst, Pc};
 use std::collections::BTreeMap;
 
-/// Where the builder puts each extracted slice.
-///
-/// Slice *extraction* is inherently serial (the window is a running state
-/// over the trace), but tree *construction* from the extracted slices is
-/// independent per static problem load. Immediate mode folds each slice
-/// into its tree on the spot (the historical behaviour); deferred mode
-/// banks the raw slices per load so construction can be fanned out later
-/// — at the cost of holding every extracted slice in memory until then.
-#[derive(Debug)]
-enum TreeSink {
-    Immediate(BTreeMap<Pc, SliceTree>),
-    Deferred(BTreeMap<Pc, PendingTree>),
+/// One accumulating forest: a slice tree per problem load, per-PC
+/// execution counts, and the measured-instruction total — the triple a
+/// [`SliceForest`] is made of. Every forest producer folds into one of
+/// these: [`SliceForestBuilder`], each bank of
+/// [`PhasedForestBuilder`](crate::PhasedForestBuilder), and the
+/// on-demand trace path (which counts during the trace and inserts the
+/// re-executed slices afterwards, in the same trace order).
+#[derive(Debug, Default)]
+pub struct ForestBank {
+    trees: BTreeMap<Pc, SliceTree>,
+    exec_counts: Vec<u64>,
+    observed: u64,
+}
+
+impl ForestBank {
+    /// Counts one measured dynamic instruction at `pc`.
+    pub fn count(&mut self, pc: Pc) {
+        self.observed += 1;
+        let pc = pc as usize;
+        if pc >= self.exec_counts.len() {
+            self.exec_counts.resize(pc + 1, 0);
+        }
+        self.exec_counts[pc] += 1;
+    }
+
+    /// Folds one miss slice into the tree of the problem load at
+    /// `root_pc`, creating the tree on the load's first miss. Slices
+    /// must arrive in trace order: node ids follow insertion order.
+    pub fn insert(&mut self, root_pc: Pc, root_inst: Inst, slice: &[SliceEntry]) {
+        self.trees
+            .entry(root_pc)
+            .or_insert_with(|| SliceTree::new(root_pc, root_inst))
+            .insert_slice(slice);
+    }
+
+    /// Finishes, producing the forest.
+    pub fn finish(self) -> SliceForest {
+        SliceForest {
+            trees: self.trees,
+            exec_counts: self.exec_counts,
+            sample_insts: self.observed,
+        }
+    }
 }
 
 /// Builds a [`SliceForest`] from a dynamic instruction stream.
@@ -25,14 +56,12 @@ enum TreeSink {
 /// Feed every traced instruction to [`observe`](Self::observe) (typically
 /// as the sink of [`preexec_func::run_trace`]); the builder maintains the
 /// slicing window, extracts a backward slice at every L2-miss load, and
-/// accumulates per-PC execution counts.
+/// folds it into that load's tree on the spot.
 #[derive(Debug)]
 pub struct SliceForestBuilder {
     window: SliceWindow,
     max_slice_len: usize,
-    sink: TreeSink,
-    exec_counts: Vec<u64>,
-    observed: u64,
+    bank: ForestBank,
 }
 
 impl SliceForestBuilder {
@@ -63,31 +92,8 @@ impl SliceForestBuilder {
         Ok(SliceForestBuilder {
             window: SliceWindow::try_new(scope)?,
             max_slice_len,
-            sink: TreeSink::Immediate(BTreeMap::new()),
-            exec_counts: Vec::new(),
-            observed: 0,
+            bank: ForestBank::default(),
         })
-    }
-
-    /// Like [`try_new`](Self::try_new), but the builder *defers* tree
-    /// construction: extracted slices are banked per problem load and the
-    /// trees are built later — serially by [`finish`](Self::finish), or in
-    /// parallel by the caller from [`finish_deferred`](Self::finish_deferred)
-    /// via [`DeferredForest`]. The resulting forest is identical either
-    /// way (per-load slice order is preserved), but deferred mode holds
-    /// every extracted slice in memory until the trees are built.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SliceError::ZeroScope`] or [`SliceError::ZeroMaxSliceLen`]
-    /// when the corresponding parameter is zero.
-    pub fn try_new_deferred(
-        scope: usize,
-        max_slice_len: usize,
-    ) -> Result<SliceForestBuilder, SliceError> {
-        let mut b = SliceForestBuilder::try_new(scope, max_slice_len)?;
-        b.sink = TreeSink::Deferred(BTreeMap::new());
-        Ok(b)
     }
 
     /// Number of instructions currently held in the slicing window
@@ -108,169 +114,17 @@ impl SliceForestBuilder {
 
     /// Observes one traced dynamic instruction.
     pub fn observe(&mut self, d: &DynInst) {
-        self.observed += 1;
-        let pc = d.pc as usize;
-        if pc >= self.exec_counts.len() {
-            self.exec_counts.resize(pc + 1, 0);
-        }
-        self.exec_counts[pc] += 1;
+        self.bank.count(d.pc);
         self.window.push(d);
         if d.is_l2_miss_load() {
             let slice = self.window.slice_latest(self.max_slice_len);
-            match &mut self.sink {
-                TreeSink::Immediate(trees) => {
-                    trees
-                        .entry(d.pc)
-                        .or_insert_with(|| SliceTree::new(d.pc, d.inst))
-                        .insert_slice(&slice);
-                }
-                TreeSink::Deferred(pending) => {
-                    pending
-                        .entry(d.pc)
-                        .or_insert_with(|| PendingTree {
-                            root_pc: d.pc,
-                            root_inst: d.inst,
-                            slices: Vec::new(),
-                        })
-                        .slices
-                        .push(slice);
-                }
-            }
+            self.bank.insert(d.pc, d.inst, &slice);
         }
     }
 
-    /// Finishes, producing the forest. In deferred mode the banked trees
-    /// are built serially here (callers wanting parallel construction use
-    /// [`finish_deferred`](Self::finish_deferred) instead).
+    /// Finishes, producing the forest.
     pub fn finish(self) -> SliceForest {
-        match self.sink {
-            TreeSink::Immediate(trees) => SliceForest {
-                trees,
-                exec_counts: self.exec_counts,
-                sample_insts: self.observed,
-            },
-            TreeSink::Deferred(pending) => SliceForest {
-                trees: pending
-                    .into_iter()
-                    .map(|(pc, p)| (pc, p.build()))
-                    .collect(),
-                exec_counts: self.exec_counts,
-                sample_insts: self.observed,
-            },
-        }
-    }
-
-    /// Finishes a deferred-mode builder without building the trees,
-    /// handing the banked per-load slice groups to the caller (who builds
-    /// each with [`PendingTree::build`] — independently, in any order or
-    /// in parallel — and reassembles with [`DeferredForest::assemble`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the builder was not created with
-    /// [`try_new_deferred`](Self::try_new_deferred) — immediate mode folds
-    /// slices into trees as it goes, so there is nothing left to defer.
-    pub fn finish_deferred(self) -> DeferredForest {
-        match self.sink {
-            TreeSink::Deferred(pending) => DeferredForest {
-                pending: pending.into_values().collect(),
-                exec_counts: self.exec_counts,
-                sample_insts: self.observed,
-            },
-            TreeSink::Immediate(_) => {
-                panic!("finish_deferred on a builder created without try_new_deferred")
-            }
-        }
-    }
-}
-
-/// The banked slices of one static problem load, awaiting tree
-/// construction. Building is a pure function of the banked data, so any
-/// number of pending trees can be built concurrently.
-#[derive(Debug, Clone)]
-pub struct PendingTree {
-    root_pc: Pc,
-    root_inst: Inst,
-    slices: Vec<Vec<SliceEntry>>,
-}
-
-impl PendingTree {
-    /// The PC of the problem load this tree is for.
-    pub fn root_pc(&self) -> Pc {
-        self.root_pc
-    }
-
-    /// How many miss slices were banked for this load.
-    pub fn num_slices(&self) -> usize {
-        self.slices.len()
-    }
-
-    /// Builds the slice tree by inserting the banked slices in extraction
-    /// order — node ids and annotations come out identical to immediate
-    /// (during-trace) construction.
-    pub fn build(&self) -> SliceTree {
-        let mut tree = SliceTree::new(self.root_pc, self.root_inst);
-        for slice in &self.slices {
-            tree.insert_slice(slice);
-        }
-        tree
-    }
-}
-
-/// A traced-but-not-yet-built forest: per-load pending trees (in problem
-/// load PC order) plus the forest-level statistics. Produced by
-/// [`SliceForestBuilder::finish_deferred`]; turned back into a
-/// [`SliceForest`] by building every pending tree (any order, any
-/// parallelism) and calling [`assemble`](Self::assemble).
-#[derive(Debug, Clone)]
-pub struct DeferredForest {
-    pending: Vec<PendingTree>,
-    exec_counts: Vec<u64>,
-    sample_insts: u64,
-}
-
-impl DeferredForest {
-    /// The pending per-load tree builds, ordered by problem load PC.
-    pub fn pending(&self) -> &[PendingTree] {
-        &self.pending
-    }
-
-    /// Assembles the forest from trees built out of
-    /// [`pending`](Self::pending), **in the same order** (index `i` of
-    /// `trees` must be the build of `pending()[i]`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trees` does not line up with the pending list (length or
-    /// root PC mismatch) — that is a caller bug that would silently
-    /// mis-attribute slices to loads.
-    pub fn assemble(self, trees: Vec<SliceTree>) -> SliceForest {
-        assert_eq!(
-            trees.len(),
-            self.pending.len(),
-            "assemble: {} trees for {} pending loads",
-            trees.len(),
-            self.pending.len()
-        );
-        for (p, t) in self.pending.iter().zip(&trees) {
-            assert_eq!(
-                p.root_pc(),
-                t.root_pc(),
-                "assemble: tree order does not match pending order"
-            );
-        }
-        SliceForest {
-            trees: trees.into_iter().map(|t| (t.root_pc(), t)).collect(),
-            exec_counts: self.exec_counts,
-            sample_insts: self.sample_insts,
-        }
-    }
-
-    /// Builds every pending tree serially and assembles the forest
-    /// (convenience; equals `finish()` on the original builder).
-    pub fn build_serial(self) -> SliceForest {
-        let trees: Vec<SliceTree> = self.pending.iter().map(PendingTree::build).collect();
-        self.assemble(trees)
+        self.bank.finish()
     }
 }
 
@@ -422,49 +276,6 @@ mod tests {
             Err(SliceError::ZeroScope)
         ));
         assert!(SliceForestBuilder::try_new(1024, 32).is_ok());
-    }
-
-    #[test]
-    fn deferred_build_matches_immediate() {
-        // Two problem loads so the deferred forest has several pending
-        // trees; the built forest must serialize identically to the
-        // immediate one whatever build path is taken.
-        let src = "li r1, 0x100000\n li r5, 0x900000\n li r2, 0\n li r3, 256\n\
-             top: bge r2, r3, done\n\
-             ld r4, 0(r1)\n ld r6, 0(r5)\n\
-             addi r1, r1, 64\n addi r5, r5, 64\n addi r2, r2, 1\n j top\n\
-             done: halt";
-        let p = assemble("t", src).unwrap();
-        let immediate = {
-            let mut b = SliceForestBuilder::new(1024, 32);
-            run_trace(&p, &TraceConfig::default(), |d| b.observe(d));
-            b.finish()
-        };
-        let trace_deferred = || {
-            let mut b = SliceForestBuilder::try_new_deferred(1024, 32).unwrap();
-            run_trace(&p, &TraceConfig::default(), |d| b.observe(d));
-            b
-        };
-        // Path 1: deferred builder finished directly.
-        let finished = trace_deferred().finish();
-        // Path 2: explicit pending build + assemble (what the parallel
-        // driver does), with out-of-order builds to prove independence.
-        let deferred = trace_deferred().finish_deferred();
-        assert_eq!(deferred.pending().len(), 2);
-        assert!(deferred.pending().iter().all(|p| p.num_slices() == 256));
-        let mut trees: Vec<(usize, SliceTree)> = deferred
-            .pending()
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(i, p)| (i, p.build()))
-            .collect();
-        trees.sort_by_key(|&(i, _)| i);
-        let assembled = deferred.assemble(trees.into_iter().map(|(_, t)| t).collect());
-
-        let reference = crate::write_forest(&immediate);
-        assert_eq!(crate::write_forest(&finished), reference);
-        assert_eq!(crate::write_forest(&assembled), reference);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod tree;
 pub mod window;
 
 pub use error::SliceError;
-pub use forest::{DeferredForest, PendingTree, SliceForest, SliceForestBuilder};
+pub use forest::{ForestBank, SliceForest, SliceForestBuilder};
 pub use io::{read_forest, read_forest_lenient, write_forest, ParseForestError, RecoveredForest};
 pub use ondemand::OnDemandSlicer;
 pub use phased::{PhasedForest, PhasedForestBuilder};
