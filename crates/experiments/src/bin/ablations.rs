@@ -26,7 +26,10 @@ fn main() {
         "bench", "ablation", "cov%", "full%", "speedup%"
     );
     for name in ["vpr.r", "parser", "twolf"] {
-        let w = suite().into_iter().find(|w| w.name == name).unwrap();
+        let Some(w) = suite().into_iter().find(|w| w.name == name) else {
+            eprintln!("ablations: workload {name} is not in the suite");
+            std::process::exit(2);
+        };
         let p = w.build(InputSet::Train);
         let base_cfg = PipelineConfig::paper_default(budget);
         let base = sim(&p, &[], &base_cfg, SimMode::Normal);

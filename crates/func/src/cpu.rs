@@ -26,8 +26,8 @@ pub struct StepOutcome {
 /// temporaries) and a program counter.
 ///
 /// The CPU interprets one instruction per [`Cpu::step`] against a
-/// [`Memory`]. It performs no timing and no cache classification — the
-/// tracer layers those on top.
+/// [`Memory`](preexec_mem::Memory). It performs no timing and no cache
+/// classification — the tracer layers those on top.
 ///
 /// # Example
 ///

@@ -6,7 +6,7 @@
 //! the program's *initial* memory image (data segments only). To replay
 //! from checkpoint `i` it seeds the shared trace loop with clones of the
 //! snapshot's CPU, hierarchy, and statistics, and runs against a
-//! copy-on-write [`ReplayMemory`] whose reads resolve, newest first,
+//! copy-on-write `ReplayMemory` whose reads resolve, newest first,
 //! through: pages written during this replay, then the dirty-page records
 //! of checkpoints `i, i-1, …, 0`, then the initial image. Because the
 //! interpreter, the cache model, and the loop driving them are the very

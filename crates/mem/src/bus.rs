@@ -1,6 +1,6 @@
 //! A bandwidth-contended bus for the timing simulator.
 
-use std::collections::HashSet;
+use crate::hash::U64Set;
 
 /// A slot-based bus occupancy model.
 ///
@@ -30,7 +30,7 @@ use std::collections::HashSet;
 pub struct Bus {
     width_bytes: u64,
     cycles_per_beat: u64,
-    booked: HashSet<u64>,
+    booked: U64Set,
     busy_cycles: u64,
     transfers: u64,
     last_prune: u64,
@@ -48,7 +48,7 @@ impl Bus {
         Bus {
             width_bytes,
             cycles_per_beat,
-            booked: HashSet::new(),
+            booked: U64Set::default(),
             busy_cycles: 0,
             transfers: 0,
             last_prune: 0,

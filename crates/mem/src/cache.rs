@@ -92,6 +92,13 @@ pub struct AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// log2 of the line size: `addr >> line_shift` is the block number.
+    line_shift: u32,
+    /// Number of sets minus one (the set count is a power of two).
+    set_mask: u64,
+    /// `line_shift` plus log2 of the set count: `addr >> tag_shift` is
+    /// the tag.
+    tag_shift: u32,
     sets: Vec<Line>,
     tick: u64,
     hits: u64,
@@ -101,9 +108,14 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty cache with the given geometry.
     pub fn new(config: CacheConfig) -> Cache {
+        let num_sets = config.num_sets();
+        let line_shift = config.line_bytes.trailing_zeros();
         Cache {
             config,
-            sets: vec![EMPTY_LINE; config.num_sets() * config.assoc],
+            line_shift,
+            set_mask: num_sets as u64 - 1,
+            tag_shift: line_shift + num_sets.trailing_zeros(),
+            sets: vec![EMPTY_LINE; num_sets * config.assoc],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -133,13 +145,12 @@ impl Cache {
 
     #[inline]
     fn set_index(&self, addr: u64) -> usize {
-        let block = addr / self.config.line_bytes as u64;
-        (block as usize) & (self.config.num_sets() - 1)
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 
     #[inline]
     fn tag(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes as u64 / self.config.num_sets() as u64
+        addr >> self.tag_shift
     }
 
     fn ways(&mut self, set: usize) -> &mut [Line] {
@@ -154,8 +165,7 @@ impl Cache {
         let tick = self.tick;
         let set = self.set_index(addr);
         let tag = self.tag(addr);
-        let line_bytes = self.config.line_bytes as u64;
-        let num_sets = self.config.num_sets() as u64;
+        let (line_shift, tag_shift) = (self.line_shift, self.tag_shift);
 
         let ways = self.ways(set);
         for line in ways.iter_mut() {
@@ -173,7 +183,7 @@ impl Cache {
             .expect("assoc >= 1");
         let writeback = if victim.valid && victim.dirty {
             // Reconstruct the evicted block address from tag and set.
-            Some((victim.tag * num_sets + set as u64) * line_bytes)
+            Some((victim.tag << tag_shift) | ((set as u64) << line_shift))
         } else {
             None
         };

@@ -22,12 +22,16 @@
 
 pub mod bus;
 pub mod cache;
+pub mod hash;
 pub mod hierarchy;
 pub mod memory;
 pub mod mshr;
+#[cfg(test)]
+mod reference;
 
 pub use bus::Bus;
 pub use cache::{AccessOutcome, Cache, CacheConfig};
+pub use hash::{U64Hasher, U64Map, U64Set};
 pub use hierarchy::{FuncHierarchy, HierarchyConfig, MemLevel};
 pub use memory::{MemBus, Memory, PAGE_SHIFT as MEM_PAGE_SHIFT, PAGE_SIZE as MEM_PAGE_SIZE};
 pub use mshr::MshrFile;

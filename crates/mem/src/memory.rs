@@ -1,6 +1,6 @@
 //! Sparse, byte-addressable main memory.
 
-use std::collections::HashMap;
+use crate::hash::U64Map;
 
 /// log2 of the page size used by [`Memory`] (and by the checkpoint layer,
 /// which snapshots dirty pages at this granularity).
@@ -78,7 +78,7 @@ impl MemBus for Memory {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    pages: U64Map<Box<[u8; PAGE_SIZE]>>,
 }
 
 impl Memory {

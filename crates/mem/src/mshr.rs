@@ -1,7 +1,5 @@
 //! Miss status holding registers: outstanding-miss tracking with coalescing.
 
-use std::collections::HashMap;
-
 /// A file of miss status holding registers (MSHRs).
 ///
 /// The paper allows "32 simultaneously outstanding misses". Each MSHR
@@ -24,7 +22,12 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    inflight: HashMap<u64, u64>, // block addr -> completion cycle
+    /// (block addr, completion cycle), at most `capacity` entries. The
+    /// file is small (the paper's 32), so a scan beats hashing.
+    inflight: Vec<(u64, u64)>,
+    /// Minimum completion cycle in `inflight`, `u64::MAX` when empty: lets
+    /// [`MshrFile::retire_completed`] return at once when nothing is due.
+    earliest: u64,
     coalesced: u64,
     rejected: u64,
 }
@@ -37,7 +40,13 @@ impl MshrFile {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> MshrFile {
         assert!(capacity > 0, "MSHR capacity must be positive");
-        MshrFile { capacity, inflight: HashMap::new(), coalesced: 0, rejected: 0 }
+        MshrFile {
+            capacity,
+            inflight: Vec::with_capacity(capacity.min(64)),
+            earliest: u64::MAX,
+            coalesced: 0,
+            rejected: 0,
+        }
     }
 
     /// Requests block `block_addr`, proposing `completes_at` as its fill
@@ -46,7 +55,7 @@ impl MshrFile {
     /// Returns the completion cycle of the (possibly pre-existing) entry,
     /// or `None` if the file is full and the request must retry.
     pub fn request(&mut self, block_addr: u64, completes_at: u64) -> Option<u64> {
-        if let Some(&done) = self.inflight.get(&block_addr) {
+        if let Some(done) = self.completion_of(block_addr) {
             self.coalesced += 1;
             return Some(done);
         }
@@ -54,29 +63,39 @@ impl MshrFile {
             self.rejected += 1;
             return None;
         }
-        self.inflight.insert(block_addr, completes_at);
+        self.inflight.push((block_addr, completes_at));
+        self.earliest = self.earliest.min(completes_at);
         Some(completes_at)
     }
 
     /// Whether `block_addr` is currently in flight.
     pub fn contains(&self, block_addr: u64) -> bool {
-        self.inflight.contains_key(&block_addr)
+        self.completion_of(block_addr).is_some()
     }
 
     /// The completion cycle of an in-flight block, if any.
+    #[inline]
     pub fn completion_of(&self, block_addr: u64) -> Option<u64> {
-        self.inflight.get(&block_addr).copied()
+        self.inflight
+            .iter()
+            .find(|&&(block, _)| block == block_addr)
+            .map(|&(_, done)| done)
     }
 
     /// Frees every entry whose completion time is `<= now`.
+    #[inline]
     pub fn retire_completed(&mut self, now: u64) {
-        self.inflight.retain(|_, &mut done| done > now);
+        if self.earliest > now {
+            return;
+        }
+        self.inflight.retain(|&(_, done)| done > now);
+        self.earliest = self.inflight.iter().map(|&(_, done)| done).min().unwrap_or(u64::MAX);
     }
 
     /// The earliest completion time among in-flight entries, if any — the
     /// soonest moment a full file will have a free slot.
     pub fn earliest_completion(&self) -> Option<u64> {
-        self.inflight.values().copied().min()
+        (!self.inflight.is_empty()).then_some(self.earliest)
     }
 
     /// Number of occupied entries.

@@ -630,7 +630,7 @@ mod tests {
         let cut = &journal_lines[..journal_lines.len() - 10];
         let replay = JournalReplay::from_text(cut);
         assert_eq!(replay.corrupt_records, 1);
-        assert_eq!(replay.jobs[&1].terminal.is_none(), true);
+        assert!(replay.jobs[&1].terminal.is_none());
         assert_eq!(replay.pending().len(), 2, "1 lost its done record, 2 never had one");
     }
 

@@ -12,9 +12,9 @@
 //! bounded only by the recorded trace.
 //!
 //! Identity with the windowed extractor is structural, not coincidental:
-//! both feed the same traversal ([`slice_from`]), the re-execution runs
+//! both feed the same traversal (the window module's `slice_from`), the re-execution runs
 //! the same interpreter the recording run used, and the per-interval
-//! dependence records replicate [`SliceWindow::push`]'s last-writer
+//! dependence records replicate [`SliceWindow::push`](crate::SliceWindow::push)'s last-writer
 //! updates operation for operation. Dependences that cross an interval
 //! boundary are resolved by walking earlier intervals' summaries
 //! (final register writers + granule last-writers); producers older than
@@ -80,7 +80,7 @@ struct IntervalSummary {
 /// Extracts backward slices from a checkpointed trace by re-executing
 /// only the intervals a slice actually reaches into.
 ///
-/// Slices are byte-identical to [`SliceWindow::slice_latest`] over the
+/// Slices are byte-identical to [`SliceWindow::slice_latest`](crate::SliceWindow::slice_latest) over the
 /// same trace, scope, and `max_slice_len` (pinned by this crate's tests
 /// and the pipeline's proptests). Requests may arrive in any order;
 /// ascending root order is cheapest because summaries behind the sliding
@@ -148,7 +148,7 @@ impl<'a> OnDemandSlicer<'a> {
     }
 
     /// Extracts the backward slice rooted at the emitted instruction
-    /// `root_seq`, exactly as [`SliceWindow::slice_latest`] would have
+    /// `root_seq`, exactly as [`SliceWindow::slice_latest`](crate::SliceWindow::slice_latest) would have
     /// at the moment `root_seq` was the newest instruction in a window
     /// of this slicer's scope.
     ///
@@ -294,7 +294,7 @@ impl<'a> OnDemandSlicer<'a> {
     }
 }
 
-/// Replicates [`SliceWindow::push`]'s last-writer bookkeeping for one
+/// Replicates [`SliceWindow::push`](crate::SliceWindow::push)'s last-writer bookkeeping for one
 /// instruction, against interval-local maps: sources are read before the
 /// destination is recorded (self-referencing instructions depend on the
 /// previous producer), and a store's granules are recorded after its own

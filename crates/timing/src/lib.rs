@@ -35,6 +35,8 @@ pub mod bpred;
 pub mod error;
 pub mod machine;
 pub mod memsys;
+#[cfg(test)]
+mod reference;
 pub mod sim;
 
 pub use bpred::BranchPredictor;

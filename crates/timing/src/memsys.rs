@@ -2,8 +2,7 @@
 //! and the block-timestamp machinery for miss-coverage measurement.
 
 use crate::MachineParams;
-use preexec_mem::{Bus, Cache, MshrFile};
-use std::collections::HashMap;
+use preexec_mem::{Bus, Cache, MshrFile, U64Map};
 
 /// Statistics kept by the memory system.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,7 +51,7 @@ pub struct MemSys {
     mshrs: MshrFile,
     backside: Bus,
     membus: Bus,
-    stamps: HashMap<u64, Stamp>,
+    stamps: U64Map<Stamp>,
     /// When `true`, every main-thread access is serviced at L2 latency or
     /// better (Table 1's "perfect L2" IPC).
     perfect_l2: bool,
@@ -68,7 +67,7 @@ impl MemSys {
             mshrs: MshrFile::new(params.mshrs),
             backside: Bus::new(params.backside_bus_bytes, 1),
             membus: Bus::new(params.mem_bus_bytes, params.mem_bus_divisor),
-            stamps: HashMap::new(),
+            stamps: U64Map::default(),
             perfect_l2: false,
             stats: MemStats::default(),
             params,
@@ -332,7 +331,7 @@ mod tests {
         let mut m = memsys();
         m.set_perfect_l2(true);
         let t = m.main_load(0, 0x5000);
-        assert_eq!(t, 0 + 2 + 6);
+        assert_eq!(t, 2 + 6); // issued at cycle 0: L1 (2) + L2 (6)
         assert_eq!(m.stats().l2_misses, 0);
     }
 

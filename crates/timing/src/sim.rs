@@ -8,8 +8,7 @@ use preexec_func::{Cpu, SquashReason, PTHREAD_ADDR_LIMIT};
 use preexec_isa::reg::NUM_REGS;
 use preexec_isa::{Inst, Op, OpClass, Pc, Program};
 use preexec_mem::Memory;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// What the p-threads are allowed to do — the paper's validation modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -136,8 +135,8 @@ impl SimResult {
 }
 
 /// One live p-thread context.
-struct Ctx {
-    body: Vec<Inst>,
+struct Ctx<'p> {
+    body: &'p [Inst],
     next: usize,
     regs: [i64; NUM_REGS],
     ready: [u64; NUM_REGS],
@@ -146,36 +145,169 @@ struct Ctx {
     store_buffer: HashMap<u64, (i64, u8)>,
 }
 
+/// Cycles from `base` onward that a `CycleCounts` keeps densely. A
+/// booking further out waits in a sparse map until the simulation comes
+/// within range, so memory follows the number of bookings, not their
+/// distance (a load's completion may lie `mem_latency` cycles ahead).
+const HORIZON: u64 = 4096;
+
+/// Event counts per cycle from `base` onward, plus their running total:
+/// a wheel that answers "how many events are still ahead?" in O(1) and
+/// drops a cycle's events when the simulation passes it (DESIGN.md §7.5).
+#[derive(Debug, Default)]
+struct CycleCounts {
+    /// The cycle `near[0]` counts.
+    base: u64,
+    /// Counts of the cycles `base..base + HORIZON`, as far as booked.
+    near: VecDeque<u32>,
+    /// Counts of the cycles at `base + HORIZON` or later.
+    far: BTreeMap<u64, u32>,
+    total: usize,
+}
+
+impl CycleCounts {
+    /// Forgets every cycle before `cycle`.
+    #[inline]
+    fn advance(&mut self, cycle: u64) {
+        if cycle <= self.base {
+            return;
+        }
+        let n = (cycle - self.base).min(self.near.len() as u64) as usize;
+        for c in self.near.drain(..n) {
+            self.total -= c as usize;
+        }
+        self.base = cycle;
+        // Fold the far cycles that came within range into the dense part
+        // (or drop them, if a jump passed them).
+        while let Some(entry) = self.far.first_entry() {
+            let c = *entry.key();
+            if c.saturating_sub(self.base) >= HORIZON {
+                break;
+            }
+            let n = entry.remove();
+            if c < self.base {
+                self.total -= n as usize;
+            } else {
+                *self.slot(c) += n;
+            }
+        }
+    }
+
+    #[inline]
+    fn slot(&mut self, cycle: u64) -> &mut u32 {
+        let i = cycle - self.base;
+        if i >= HORIZON {
+            return self.far.entry(cycle).or_insert(0);
+        }
+        let i = i as usize;
+        if i >= self.near.len() {
+            self.near.resize(i + 1, 0);
+        }
+        &mut self.near[i]
+    }
+
+    /// Counts one event at `cycle`; an event at or before the current
+    /// cycle counts until the next one.
+    #[inline]
+    fn add(&mut self, cycle: u64) {
+        *self.slot(cycle.max(self.base)) += 1;
+        self.total += 1;
+    }
+
+    /// Counts one event at the first cycle at or after `earliest` with
+    /// fewer than `limit` events, and returns that cycle.
+    #[inline]
+    fn book_below(&mut self, earliest: u64, limit: u32) -> u64 {
+        debug_assert!(earliest >= self.base, "booking behind the current cycle");
+        let mut c = earliest.max(self.base);
+        while *self.slot(c) >= limit {
+            c += 1;
+        }
+        *self.slot(c) += 1;
+        self.total += 1;
+        c
+    }
+
+    /// Events counted from the current cycle onward.
+    #[inline]
+    fn total(&self) -> usize {
+        self.total
+    }
+}
+
+/// P-thread indices by trigger PC, in `pthreads` order.
+struct Triggers {
+    by_pc: Vec<Vec<usize>>,
+    /// Triggers at or past the end of the program. Running off the end
+    /// renames an implicit `halt` at that PC, so they can fire once.
+    beyond: Vec<(Pc, usize)>,
+}
+
+impl Triggers {
+    fn new(program: &Program, pthreads: &[StaticPThread]) -> Triggers {
+        let mut by_pc = vec![Vec::new(); program.len()];
+        let mut beyond = Vec::new();
+        for (i, p) in pthreads.iter().enumerate() {
+            match by_pc.get_mut(p.trigger as usize) {
+                Some(list) => list.push(i),
+                None => beyond.push((p.trigger, i)),
+            }
+        }
+        Triggers { by_pc, beyond }
+    }
+
+    /// The p-threads `pc` triggers.
+    #[inline]
+    fn at(&self, pc: Pc) -> impl Iterator<Item = usize> + '_ {
+        let listed = self.by_pc.get(pc as usize).map_or(&[][..], Vec::as_slice);
+        let beyond = self.beyond.iter().filter(move |&&(t, _)| t == pc).map(|&(_, i)| i);
+        listed.iter().copied().chain(beyond)
+    }
+}
+
 /// Issue-bandwidth ledger: at most `width` instructions may begin
 /// execution in any cycle, shared by all threads.
+///
+/// Every booking also occupies a reservation station until its issue
+/// cycle, so the bookings still ahead of the current cycle are the
+/// reservation-station occupancy.
 struct IssueSlots {
-    counts: HashMap<u64, u32>,
+    booked: CycleCounts,
     width: u32,
-    last_prune: u64,
 }
 
 impl IssueSlots {
     fn new(width: u32) -> IssueSlots {
-        IssueSlots { counts: HashMap::new(), width, last_prune: 0 }
+        IssueSlots { booked: CycleCounts::default(), width }
     }
 
     /// First cycle at or after `earliest` with a free issue slot; books it.
-    fn schedule(&mut self, earliest: u64, now: u64) -> u64 {
-        let mut c = earliest;
-        loop {
-            let n = self.counts.entry(c).or_insert(0);
-            if *n < self.width {
-                *n += 1;
-                break;
-            }
-            c += 1;
-        }
-        if now > self.last_prune + 65536 {
-            self.counts.retain(|&k, _| k >= now);
-            self.last_prune = now;
-        }
-        c
+    #[inline]
+    fn schedule(&mut self, earliest: u64) -> u64 {
+        self.booked.book_below(earliest, self.width)
     }
+
+    /// Frees the reservation stations of everything issued by `cycle`.
+    #[inline]
+    fn issue_through(&mut self, cycle: u64) {
+        self.booked.advance(cycle + 1);
+    }
+
+    /// Occupied reservation stations.
+    #[inline]
+    fn rs_occupancy(&self) -> usize {
+        self.booked.total()
+    }
+}
+
+/// Store-to-load forwarding: the youngest older store fully containing the
+/// load's bytes supplies the data.
+fn store_forward(queue: &VecDeque<(u64, u8, u64)>, addr: u64, width: u8) -> Option<u64> {
+    queue
+        .iter()
+        .rev()
+        .find(|&&(sa, sw, _)| sa <= addr && addr + width as u64 <= sa + sw as u64)
+        .map(|&(_, _, done)| done)
 }
 
 /// Runs `program` on the timing model, pre-executing `pthreads`.
@@ -222,17 +354,14 @@ pub fn try_simulate(
     let mut bp = BranchPredictor::new();
     let mut slots = IssueSlots::new(m.width);
 
-    let mut trigger_map: HashMap<Pc, Vec<usize>> = HashMap::new();
-    for (i, p) in pthreads.iter().enumerate() {
-        trigger_map.entry(p.trigger).or_default().push(i);
-    }
+    let triggers = Triggers::new(program, pthreads);
 
     let mut rob: VecDeque<u64> = VecDeque::with_capacity(m.rob_entries);
-    let mut rs: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
     let mut reg_ready = [0u64; NUM_REGS];
     let mut store_queue: VecDeque<(u64, u8, u64)> = VecDeque::new();
-    let mut contexts: Vec<Option<Ctx>> = (0..m.pthread_contexts).map(|_| None).collect();
-    let mut pthread_regs: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+    let mut contexts: Vec<Option<Ctx<'_>>> = (0..m.pthread_contexts).map(|_| None).collect();
+    // P-thread physical registers held, by the cycle their value is ready.
+    let mut pthread_regs = CycleCounts::default();
 
     let mut r = SimResult::default();
     let mut cycle: u64 = 0;
@@ -252,13 +381,10 @@ pub fn try_simulate(
             }
         }
 
-        // 2. Free reservation stations whose instructions have issued.
-        while matches!(rs.peek(), Some(&Reverse(t)) if t <= cycle) {
-            rs.pop();
-        }
-        while matches!(pthread_regs.peek(), Some(&Reverse(t)) if t <= cycle) {
-            pthread_regs.pop();
-        }
+        // 2. Free reservation stations whose instructions have issued, and
+        // p-thread registers whose values are ready.
+        slots.issue_through(cycle);
+        pthread_regs.advance(cycle + 1);
 
         let mut bandwidth = m.width;
 
@@ -279,10 +405,10 @@ pub fn try_simulate(
                     break;
                 }
                 if config.mode != SimMode::OverheadSequence {
-                    if rs.len() >= m.rs_entries {
+                    if slots.rs_occupancy() >= m.rs_entries {
                         break;
                     }
-                    if pthread_regs.len() >= m.pthread_phys_regs {
+                    if pthread_regs.total() >= m.pthread_phys_regs {
                         break;
                     }
                 }
@@ -292,7 +418,7 @@ pub fn try_simulate(
                 }
                 let inst = ctx.body[ctx.next];
                 let outcome = inject_pthread_inst(
-                    ctx, inst, cycle, config.mode, m, &mut memsys, &mem, &mut slots, &mut rs,
+                    ctx, inst, cycle, config.mode, m, &mut memsys, &mem, &mut slots,
                     &mut pthread_regs,
                 );
                 // The faulting instruction still consumed sequencing
@@ -320,7 +446,7 @@ pub fn try_simulate(
 
         // 4. Main-thread rename/dispatch.
         while bandwidth > 0 && !cpu.halted() && cycle >= rename_stall_until {
-            if rob.len() >= m.rob_entries || rs.len() >= m.rs_entries {
+            if rob.len() >= m.rob_entries || slots.rs_occupancy() >= m.rs_entries {
                 break;
             }
             // Structural store-queue check before committing to the step.
@@ -347,28 +473,20 @@ pub fn try_simulate(
 
             let completion = match inst.class() {
                 OpClass::IntAlu | OpClass::IntMul => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
-                    issue + inst.op.exec_latency() as u64
+                    slots.schedule(earliest) + inst.op.exec_latency() as u64
                 }
                 OpClass::Load => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
-                    let t = issue + m.agen_latency;
+                    let t = slots.schedule(earliest) + m.agen_latency;
                     let addr = out.addr.expect("load has address");
                     let width = inst.op.mem_width().expect("load width");
-                    if let Some(fwd) =
-                        store_forward(&store_queue, addr, width, m.store_forward_latency)
-                    {
+                    if let Some(fwd) = store_forward(&store_queue, addr, width) {
                         fwd.max(t + m.store_forward_latency)
                     } else {
                         memsys.main_load(t, addr)
                     }
                 }
                 OpClass::Store => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
-                    let t = issue + m.agen_latency;
+                    let t = slots.schedule(earliest) + m.agen_latency;
                     let addr = out.addr.expect("store has address");
                     let width = inst.op.mem_width().expect("store width");
                     let done = memsys.main_store(t, addr);
@@ -379,11 +497,9 @@ pub fn try_simulate(
                     done
                 }
                 OpClass::Branch => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
+                    let done = slots.schedule(earliest) + 1;
                     r.branches += 1;
                     let correct = bp.predict_and_update(out.pc, out.taken, inst.target);
-                    let done = issue + 1;
                     if !correct {
                         r.mispredicts += 1;
                         mispredicted = true;
@@ -392,9 +508,7 @@ pub fn try_simulate(
                     done
                 }
                 OpClass::Jump => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
-                    let done = issue + 1;
+                    let done = slots.schedule(earliest) + 1;
                     if inst.op == Op::Jr {
                         let correct = bp.predict_indirect(out.pc, cpu.pc());
                         if !correct {
@@ -415,30 +529,28 @@ pub fn try_simulate(
             bandwidth -= 1;
 
             // P-thread launch at trigger rename.
-            if let Some(list) = trigger_map.get(&out.pc) {
-                for &pi in list {
-                    match contexts.iter_mut().find(|c| c.is_none()) {
-                        Some(free) => {
-                            r.launches += 1;
-                            // Seed values are read through the rename map:
-                            // a live-in becomes usable when its main-thread
-                            // producer completes, not at launch.
-                            let mut ready = reg_ready;
-                            for t in ready.iter_mut() {
-                                *t = (*t).max(cycle);
-                            }
-                            *free = Some(Ctx {
-                                body: pthreads[pi].body.clone(),
-                                next: 0,
-                                regs: cpu.snapshot_regs(),
-                                ready,
-                                burst_left: 0,
-                                next_burst: cycle,
-                                store_buffer: HashMap::new(),
-                            });
+            for pi in triggers.at(out.pc) {
+                match contexts.iter_mut().find(|c| c.is_none()) {
+                    Some(free) => {
+                        r.launches += 1;
+                        // Seed values are read through the rename map:
+                        // a live-in becomes usable when its main-thread
+                        // producer completes, not at launch.
+                        let mut ready = reg_ready;
+                        for t in ready.iter_mut() {
+                            *t = (*t).max(cycle);
                         }
-                        None => r.drops += 1,
+                        *free = Some(Ctx {
+                            body: &pthreads[pi].body,
+                            next: 0,
+                            regs: cpu.snapshot_regs(),
+                            ready,
+                            burst_left: 0,
+                            next_burst: cycle,
+                            store_buffer: HashMap::new(),
+                        });
                     }
+                    None => r.drops += 1,
                 }
             }
             if mispredicted || out.halted {
@@ -456,26 +568,32 @@ pub fn try_simulate(
         if drained || r.insts >= config.max_insts {
             break;
         }
+
+        // Idle-cycle skip. With no p-thread context live and rename
+        // blocked by halt, a full ROB or a redirect stall, no cycle before
+        // the ROB head completes or the stall ends can retire, inject or
+        // rename anything, so jump straight to the first one that can
+        // (DESIGN.md §7.5).
+        if contexts.iter().all(Option::is_none)
+            && (cpu.halted() || rob.len() >= m.rob_entries || cycle < rename_stall_until)
+        {
+            let mut wake = rob.front().copied().unwrap_or(u64::MAX);
+            if rename_stall_until > cycle {
+                wake = wake.min(rename_stall_until);
+            }
+            if wake >= config.max_cycles {
+                // Stepping would have reached the watchdog first.
+                cycle = config.max_cycles;
+                r.timed_out = true;
+                break;
+            }
+            cycle = cycle.max(wake);
+        }
     }
 
     r.cycles = cycle;
     r.mem = *memsys.stats();
     Ok(r)
-}
-
-/// Store-to-load forwarding: the youngest older store fully containing the
-/// load's bytes supplies the data.
-fn store_forward(
-    queue: &VecDeque<(u64, u8, u64)>,
-    addr: u64,
-    width: u8,
-    _fwd_latency: u64,
-) -> Option<u64> {
-    queue
-        .iter()
-        .rev()
-        .find(|&&(sa, sw, _)| sa <= addr && addr + width as u64 <= sa + sw as u64)
-        .map(|&(_, _, done)| done)
 }
 
 /// Injects one p-thread instruction: functional execution on the context's
@@ -487,7 +605,7 @@ fn store_forward(
 /// pipeline where squash happens at execute.
 #[allow(clippy::too_many_arguments)]
 fn inject_pthread_inst(
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<'_>,
     inst: Inst,
     cycle: u64,
     mode: SimMode,
@@ -495,8 +613,7 @@ fn inject_pthread_inst(
     memsys: &mut MemSys,
     mem: &Memory,
     slots: &mut IssueSlots,
-    rs: &mut BinaryHeap<Reverse<u64>>,
-    pthread_regs: &mut BinaryHeap<Reverse<u64>>,
+    pthread_regs: &mut CycleCounts,
 ) -> Result<(), SquashReason> {
     if mode == SimMode::OverheadSequence {
         return Ok(()); // sequenced and discarded
@@ -505,8 +622,7 @@ fn inject_pthread_inst(
         .uses()
         .map(|reg| ctx.ready[reg.index()])
         .fold(cycle, u64::max);
-    let issue = slots.schedule(ready.max(cycle + 1), cycle);
-    rs.push(Reverse(issue));
+    let issue = slots.schedule(ready.max(cycle + 1));
 
     let a = inst.rs1.map_or(0, |r| ctx.regs[r.index()]);
     let b = inst.rs2.map_or(0, |r| ctx.regs[r.index()]);
@@ -559,20 +675,20 @@ fn inject_pthread_inst(
         if let Some(def) = inst.def() {
             ctx.regs[def.index()] = result;
             ctx.ready[def.index()] = completion;
-            pthread_regs.push(Reverse(completion));
+            pthread_regs.add(completion);
         }
     }
     Ok(())
 }
 
-fn pthread_mem_access(mode: SimMode, memsys: &mut MemSys, t: u64, addr: u64) -> u64 {
+pub(crate) fn pthread_mem_access(mode: SimMode, memsys: &mut MemSys, t: u64, addr: u64) -> u64 {
     match mode {
         SimMode::OverheadExecute => memsys.pthread_load_inert(t),
         _ => memsys.pthread_load(t, addr),
     }
 }
 
-fn read_mem(mem: &Memory, op: Op, addr: u64) -> Option<i64> {
+pub(crate) fn read_mem(mem: &Memory, op: Op, addr: u64) -> Option<i64> {
     Some(match op {
         Op::Lb => mem.read_u8(addr) as i8 as i64,
         Op::Lbu => mem.read_u8(addr) as i64,
@@ -794,7 +910,8 @@ mod tests {
         let p = assemble("t", STREAM).unwrap();
         let pt = stream_pthread(4);
         for mode in [SimMode::OverheadExecute, SimMode::OverheadSequence] {
-            let r = simulate(&p, &[pt.clone()], &SimConfig { mode, ..SimConfig::default() });
+            let cfg = SimConfig { mode, ..SimConfig::default() };
+            let r = simulate(&p, std::slice::from_ref(&pt), &cfg);
             assert_eq!(r.covered(), 0, "{mode:?} must not prefetch");
         }
     }
@@ -816,7 +933,7 @@ mod tests {
     fn lt_only_at_least_as_fast_as_normal() {
         let p = assemble("t", STREAM).unwrap();
         let pt = stream_pthread(4);
-        let normal = simulate(&p, &[pt.clone()], &SimConfig::default());
+        let normal = simulate(&p, std::slice::from_ref(&pt), &SimConfig::default());
         let lt = simulate(
             &p,
             &[pt],
@@ -905,6 +1022,35 @@ mod tests {
         // A drained run is not a timeout.
         let ok = simulate(&p, &[], &SimConfig::default());
         assert!(!ok.timed_out);
+    }
+
+    /// Bookings past the dense horizon wait in the sparse map, fold into
+    /// the dense part as the wheel comes within range, and drop if a jump
+    /// passes them; the total stays exact throughout.
+    #[test]
+    fn cycle_counts_keep_far_bookings_sparse() {
+        let far = 1_000_000_000_000;
+        let mut w = CycleCounts::default();
+        w.add(far);
+        w.add(far);
+        assert_eq!(w.book_below(far, 2), far + 1);
+        assert_eq!(w.book_below(5, 1), 5);
+        assert_eq!(w.book_below(5, 1), 6);
+        assert_eq!(w.total(), 5);
+        assert_eq!((w.near.len(), w.far.len()), (7, 2));
+        // A jump to just before the far bookings drops cycles 5 and 6
+        // and folds the far ones in.
+        w.advance(far - 10);
+        assert_eq!(w.total(), 3);
+        assert_eq!((w.near.len(), w.far.len()), (12, 0));
+        assert_eq!(w.book_below(far, 2), far + 1);
+        assert_eq!(w.book_below(far, 2), far + 2);
+        w.advance(far + 2);
+        assert_eq!(w.total(), 1);
+        // A jump past a far booking drops it without folding.
+        w.add(far + 2 * HORIZON);
+        w.advance(far + 3 * HORIZON);
+        assert_eq!((w.total(), w.near.len(), w.far.len()), (0, 0, 0));
     }
 
     #[test]
