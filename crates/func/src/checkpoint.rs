@@ -16,72 +16,9 @@
 //! `i` reproduces exactly the emitted instructions
 //! `[i * checkpoint_every, (i + 1) * checkpoint_every)`.
 
-use crate::tracer::{run_trace_loop, TraceState};
+use crate::tracer::{initial_memory, run_trace_loop, TraceState};
 use crate::{Cpu, DynInst, ExecError, RunStats, TraceConfig};
-use preexec_mem::{FuncHierarchy, MemBus, Memory, MEM_PAGE_SHIFT, MEM_PAGE_SIZE};
-use std::collections::BTreeSet;
-
-/// A [`Memory`] wrapper that records which pages have been written since
-/// the last checkpoint. Reads delegate untouched; the set is drained at
-/// every snapshot.
-struct TrackedMem {
-    mem: Memory,
-    dirty: BTreeSet<u64>,
-}
-
-impl TrackedMem {
-    fn new(mem: Memory) -> TrackedMem {
-        TrackedMem { mem, dirty: BTreeSet::new() }
-    }
-
-    #[inline]
-    fn mark(&mut self, addr: u64, width: u64) {
-        let first = addr >> MEM_PAGE_SHIFT;
-        let last = addr.saturating_add(width - 1) >> MEM_PAGE_SHIFT;
-        for p in first..=last {
-            self.dirty.insert(p);
-        }
-    }
-
-    /// Snapshots every dirtied page's current content and clears the set.
-    fn take_dirty(&mut self) -> Vec<(u64, Box<[u8; MEM_PAGE_SIZE]>)> {
-        let dirty = std::mem::take(&mut self.dirty);
-        dirty
-            .into_iter()
-            .filter_map(|p| self.mem.page_bytes(p).map(|bytes| (p, Box::new(*bytes))))
-            .collect()
-    }
-}
-
-impl MemBus for TrackedMem {
-    #[inline]
-    fn read_u8(&self, addr: u64) -> u8 {
-        self.mem.read_u8(addr)
-    }
-    #[inline]
-    fn read_u32(&self, addr: u64) -> u32 {
-        self.mem.read_u32(addr)
-    }
-    #[inline]
-    fn read_u64(&self, addr: u64) -> u64 {
-        self.mem.read_u64(addr)
-    }
-    #[inline]
-    fn write_u8(&mut self, addr: u64, value: u8) {
-        self.mark(addr, 1);
-        self.mem.write_u8(addr, value);
-    }
-    #[inline]
-    fn write_u32(&mut self, addr: u64, value: u32) {
-        self.mark(addr, 4);
-        self.mem.write_u32(addr, value);
-    }
-    #[inline]
-    fn write_u64(&mut self, addr: u64, value: u64) {
-        self.mark(addr, 8);
-        self.mem.write_u64(addr, value);
-    }
-}
+use preexec_mem::{FuncHierarchy, MemPage, MEM_PAGE_SIZE};
 
 /// One snapshot of the trace state, taken immediately before the
 /// instruction with `seq == emitted` executed.
@@ -94,21 +31,13 @@ pub struct Checkpoint {
     pub(crate) cpu: Cpu,
     pub(crate) hierarchy: FuncHierarchy,
     pub(crate) stats: RunStats,
-    /// Pages dirtied since the previous checkpoint, content as of this
-    /// one, sorted by page index.
-    pub(crate) pages: Vec<(u64, Box<[u8; MEM_PAGE_SIZE]>)>,
+    /// Pages written since the previous checkpoint, content as of this
+    /// one, sorted by page index. They share their bytes with the traced
+    /// memory until it next writes them.
+    pub(crate) pages: Vec<(u64, MemPage)>,
 }
 
 impl Checkpoint {
-    /// The recorded content of `page` at this checkpoint, if it was
-    /// dirtied in the preceding interval.
-    pub(crate) fn page(&self, page: u64) -> Option<&[u8; MEM_PAGE_SIZE]> {
-        self.pages
-            .binary_search_by_key(&page, |&(p, _)| p)
-            .ok()
-            .map(|i| &*self.pages[i].1)
-    }
-
     /// Bytes of snapshot payload held (dirty pages only).
     pub fn page_bytes_held(&self) -> usize {
         self.pages.len() * MEM_PAGE_SIZE
@@ -174,8 +103,8 @@ impl CheckpointTrace {
 /// re-executed deterministically (see [`crate::replay`]).
 ///
 /// `checkpoint_every` is clamped to at least 1. The initial data-segment
-/// image is *not* recorded (the replayer reloads it from the program), so
-/// snapshots hold only pages the program itself dirtied.
+/// image is *not* recorded (the replayer reads it from the program), so
+/// snapshots hold only pages the program itself wrote.
 ///
 /// # Errors
 ///
@@ -187,13 +116,9 @@ pub fn try_run_trace_checkpointed(
     mut sink: impl FnMut(&DynInst),
 ) -> Result<(RunStats, CheckpointTrace), ExecError> {
     let every = checkpoint_every.max(1);
-    let mut mem = Memory::new();
-    for seg in program.data_segments() {
-        mem.write_slice(seg.base, &seg.bytes);
-    }
     let mut state = TraceState {
         cpu: Cpu::new(program),
-        mem: TrackedMem::new(mem),
+        mem: initial_memory(program),
         hierarchy: FuncHierarchy::new(config.hierarchy),
         stats: RunStats::new(),
         emitted: 0,
@@ -214,7 +139,10 @@ pub fn try_run_trace_checkpointed(
                     cpu: st.cpu.clone(),
                     hierarchy: st.hierarchy.clone(),
                     stats: st.stats.clone(),
-                    pages: st.mem.take_dirty(),
+                    // The traced memory shares every page an earlier
+                    // checkpoint holds until it writes that page again, so
+                    // its unshared pages are exactly those written since.
+                    pages: st.mem.share_unshared_pages(),
                 });
             }
         },

@@ -3,7 +3,7 @@
 use crate::{exec, ExecError};
 use preexec_isa::{Inst, Op, OpClass, Pc, Program, Reg};
 use preexec_isa::reg::NUM_REGS;
-use preexec_mem::MemBus;
+use preexec_mem::Memory;
 
 /// The architectural outcome of stepping one instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +26,7 @@ pub struct StepOutcome {
 /// temporaries) and a program counter.
 ///
 /// The CPU interprets one instruction per [`Cpu::step`] against a
-/// [`Memory`](preexec_mem::Memory). It performs no timing and no cache
+/// [`Memory`]. It performs no timing and no cache
 /// classification — the tracer layers those on top.
 ///
 /// # Example
@@ -91,11 +91,10 @@ impl Cpu {
     /// instead of panicking on a halted CPU or a malformed instruction.
     ///
     /// Memory operations read/write `mem` architecturally; the caller is
-    /// responsible for any cache classification (see the tracer). The bus
-    /// is generic so the normal tracer (backed by [`preexec_mem::Memory`])
-    /// and the checkpoint replayer (backed by a copy-on-write overlay)
-    /// execute exactly the same interpreter — determinism of replay
-    /// cannot drift from the interpreter it replays.
+    /// responsible for any cache classification (see the tracer). The
+    /// tracer, the checkpoint recorder, the checkpoint replayer and the
+    /// timing simulator all step one [`Memory`] type through this one
+    /// interpreter, so a replay cannot drift from the run it replays.
     ///
     /// # Errors
     ///
@@ -104,10 +103,10 @@ impl Cpu {
     /// inconsistent with its opcode class (which cannot happen for
     /// instructions built through [`preexec_isa`]'s constructors, but can
     /// for hand-assembled or corrupted ones).
-    pub fn try_step<M: MemBus>(
+    pub fn try_step(
         &mut self,
         program: &Program,
-        mem: &mut M,
+        mem: &mut Memory<'_>,
     ) -> Result<StepOutcome, ExecError> {
         if self.halted {
             return Err(ExecError::CpuHalted);
@@ -208,7 +207,7 @@ impl Cpu {
     ///
     /// Panics if the CPU is already halted or the instruction is
     /// malformed.
-    pub fn step<M: MemBus>(&mut self, program: &Program, mem: &mut M) -> StepOutcome {
+    pub fn step(&mut self, program: &Program, mem: &mut Memory<'_>) -> StepOutcome {
         match self.try_step(program, mem) {
             Ok(out) => out,
             Err(e) => panic!("{e}"),
@@ -220,9 +219,8 @@ impl Cpu {
 mod tests {
     use super::*;
     use preexec_isa::assemble;
-    use preexec_mem::Memory;
 
-    fn run(src: &str) -> (Cpu, Memory) {
+    fn run(src: &str) -> (Cpu, Memory<'static>) {
         let p = assemble("t", src).unwrap();
         let mut cpu = Cpu::new(&p);
         let mut mem = Memory::new();

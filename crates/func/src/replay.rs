@@ -1,121 +1,28 @@
 //! Deterministic re-execution from a [`Checkpoint`](crate::CheckpointTrace).
 //!
-//! A [`Replayer`] owns a program, its trace configuration, the
+//! A [`Replayer`] borrows a program, its trace configuration and the
 //! [`CheckpointTrace`] recorded by
 //! [`try_run_trace_checkpointed`](crate::try_run_trace_checkpointed), and
-//! the program's *initial* memory image (data segments only). To replay
-//! from checkpoint `i` it seeds the shared trace loop with clones of the
-//! snapshot's CPU, hierarchy, and statistics, and runs against a
-//! copy-on-write `ReplayMemory` whose reads resolve, newest first,
-//! through: pages written during this replay, then the dirty-page records
-//! of checkpoints `i, i-1, …, 0`, then the initial image. Because the
-//! interpreter, the cache model, and the loop driving them are the very
-//! same code the recording run executed, the replay emits byte-identical
-//! [`DynInst`]s — determinism is by construction, not by a parallel
-//! implementation kept in sync.
+//! indexes the checkpoints' page records by page once. To replay from
+//! checkpoint `i` it seeds the shared trace loop with clones of the
+//! snapshot's CPU, hierarchy, and statistics, and with a [`Memory`] over
+//! the program's data segments holding, for every page the run wrote
+//! before checkpoint `i`, that page's newest record at or before `i` —
+//! which is the page's content at the snapshot instant, since checkpoint
+//! `j` records exactly the pages written between checkpoints `j-1` and
+//! `j`. The records are shared, not copied; the replay copies a page only
+//! when it writes it. Because the interpreter, the cache model, the
+//! memory and the loop driving them are the very same code the recording
+//! run executed, the replay emits byte-identical [`DynInst`]s —
+//! determinism is by construction, not by a parallel implementation kept
+//! in sync.
 
 use crate::checkpoint::CheckpointTrace;
-use crate::tracer::{run_trace_loop, TraceState};
+use crate::tracer::{initial_memory, run_trace_loop, TraceState};
 use crate::{DynInst, ExecError, RunStats, TraceConfig};
 use preexec_isa::Program;
-use preexec_mem::{MemBus, Memory, MEM_PAGE_SHIFT, MEM_PAGE_SIZE};
-use std::collections::HashMap;
-
-const PAGE_MASK: u64 = (MEM_PAGE_SIZE - 1) as u64;
-
-/// Copy-on-write memory view for a replay starting at checkpoint
-/// `ckpt_idx`: reads fall through overlay → checkpoint dirty-page records
-/// (newest not after `ckpt_idx` wins) → initial data-segment image; writes
-/// go to an overlay page seeded from that same resolution.
-struct ReplayMemory<'a> {
-    trace: &'a CheckpointTrace,
-    initial: &'a Memory,
-    ckpt_idx: usize,
-    overlay: HashMap<u64, Box<[u8; MEM_PAGE_SIZE]>>,
-}
-
-impl<'a> ReplayMemory<'a> {
-    fn new(trace: &'a CheckpointTrace, initial: &'a Memory, ckpt_idx: usize) -> ReplayMemory<'a> {
-        ReplayMemory { trace, initial, ckpt_idx, overlay: HashMap::new() }
-    }
-
-    /// The page content as of checkpoint `ckpt_idx`, ignoring the overlay.
-    /// Checkpoint `j` records a page only if it was dirtied in interval
-    /// `j-1..j`, so the newest record at or before `ckpt_idx` is the
-    /// content at the snapshot instant.
-    fn base_page(&self, page: u64) -> Option<&'a [u8; MEM_PAGE_SIZE]> {
-        for j in (0..=self.ckpt_idx).rev() {
-            if let Some(bytes) = self.trace.checkpoint(j).page(page) {
-                return Some(bytes);
-            }
-        }
-        self.initial.page_bytes(page)
-    }
-
-    #[inline]
-    fn byte(&self, addr: u64) -> u8 {
-        let page = addr >> MEM_PAGE_SHIFT;
-        let off = (addr & PAGE_MASK) as usize;
-        if let Some(p) = self.overlay.get(&page) {
-            return p[off];
-        }
-        self.base_page(page).map_or(0, |p| p[off])
-    }
-
-    fn overlay_page(&mut self, addr: u64) -> &mut [u8; MEM_PAGE_SIZE] {
-        let page = addr >> MEM_PAGE_SHIFT;
-        if !self.overlay.contains_key(&page) {
-            let seeded = match self.base_page(page) {
-                Some(bytes) => Box::new(*bytes),
-                None => Box::new([0u8; MEM_PAGE_SIZE]),
-            };
-            self.overlay.insert(page, seeded);
-        }
-        self.overlay.get_mut(&page).expect("overlay page just inserted")
-    }
-
-    fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
-        let mut out = [0u8; N];
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.byte(addr.wrapping_add(i as u64));
-        }
-        out
-    }
-
-    fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr.wrapping_add(i as u64);
-            self.overlay_page(a)[(a & PAGE_MASK) as usize] = b;
-        }
-    }
-}
-
-impl MemBus for ReplayMemory<'_> {
-    #[inline]
-    fn read_u8(&self, addr: u64) -> u8 {
-        self.byte(addr)
-    }
-    #[inline]
-    fn read_u32(&self, addr: u64) -> u32 {
-        u32::from_le_bytes(self.read_bytes::<4>(addr))
-    }
-    #[inline]
-    fn read_u64(&self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read_bytes::<8>(addr))
-    }
-    #[inline]
-    fn write_u8(&mut self, addr: u64, value: u8) {
-        self.write_bytes(addr, &[value]);
-    }
-    #[inline]
-    fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-    #[inline]
-    fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
-    }
-}
+use preexec_mem::{MemPage, Memory, U64Map};
+use std::sync::Arc;
 
 /// Deterministic re-executor over a recorded [`CheckpointTrace`].
 ///
@@ -141,20 +48,35 @@ pub struct Replayer<'a> {
     program: &'a Program,
     config: &'a TraceConfig,
     trace: &'a CheckpointTrace,
-    /// The pre-run memory image (data segments), built once.
-    initial: Memory,
+    /// Every page any checkpoint recorded: `(checkpoint, content)` in
+    /// checkpoint order.
+    history: U64Map<Vec<(usize, MemPage)>>,
 }
 
 impl<'a> Replayer<'a> {
-    /// Builds a replayer for `trace`, reconstructing the initial
-    /// data-segment image from `program`. `program` and `config` must be
-    /// the ones the recording run used — the trace stores neither.
+    /// Builds a replayer for `trace`. `program` and `config` must be the
+    /// ones the recording run used — the trace stores neither.
     pub fn new(program: &'a Program, config: &'a TraceConfig, trace: &'a CheckpointTrace) -> Replayer<'a> {
-        let mut initial = Memory::new();
-        for seg in program.data_segments() {
-            initial.write_slice(seg.base, &seg.bytes);
+        let mut history: U64Map<Vec<(usize, MemPage)>> = U64Map::default();
+        for i in 0..trace.num_checkpoints() {
+            for (page, bytes) in &trace.checkpoint(i).pages {
+                history.entry(*page).or_default().push((i, Arc::clone(bytes)));
+            }
         }
-        Replayer { program, config, trace, initial }
+        Replayer { program, config, trace, history }
+    }
+
+    /// The memory at checkpoint `idx`: the program's data segments under
+    /// each written page's newest record at or before `idx`.
+    fn memory_at(&self, idx: usize) -> Memory<'a> {
+        let mut mem = initial_memory(self.program);
+        for (&page, records) in &self.history {
+            let n = records.partition_point(|&(j, _)| j <= idx);
+            if let Some((_, bytes)) = records[..n].last() {
+                mem.set_page(page, Arc::clone(bytes));
+            }
+        }
+        mem
     }
 
     /// The trace being replayed.
@@ -184,7 +106,7 @@ impl<'a> Replayer<'a> {
         let ckpt = self.trace.checkpoint(from_ckpt);
         let mut state = TraceState {
             cpu: ckpt.cpu.clone(),
-            mem: ReplayMemory::new(self.trace, &self.initial, from_ckpt),
+            mem: self.memory_at(from_ckpt),
             hierarchy: ckpt.hierarchy.clone(),
             stats: ckpt.stats.clone(),
             emitted: ckpt.emitted,

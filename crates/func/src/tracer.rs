@@ -2,7 +2,7 @@
 
 use crate::{Cpu, DynInst, ExecError, Phase, RunStats, Sampling};
 use preexec_isa::{OpClass, Program};
-use preexec_mem::{FuncHierarchy, HierarchyConfig, MemBus, Memory};
+use preexec_mem::{FuncHierarchy, HierarchyConfig, Memory};
 
 /// Configuration for a trace run.
 #[derive(Debug, Clone, Copy)]
@@ -82,13 +82,9 @@ pub fn try_run_trace(
     config: &TraceConfig,
     mut sink: impl FnMut(&DynInst),
 ) -> Result<RunStats, ExecError> {
-    let mut mem = Memory::new();
-    for seg in program.data_segments() {
-        mem.write_slice(seg.base, &seg.bytes);
-    }
     let mut state = TraceState {
         cpu: Cpu::new(program),
-        mem,
+        mem: initial_memory(program),
         hierarchy: FuncHierarchy::new(config.hierarchy),
         stats: RunStats::new(),
         emitted: 0,
@@ -100,13 +96,19 @@ pub fn try_run_trace(
     Ok(state.stats)
 }
 
+/// `program`'s memory before its first instruction: the data segments,
+/// read in place rather than copied (see [`Memory::with_segments`]).
+pub fn initial_memory(program: &Program) -> Memory<'_> {
+    Memory::with_segments(program.data_segments().iter().map(|s| (s.base, &s.bytes[..])))
+}
+
 /// The full mutable state of an in-flight trace run. One loop
 /// ([`run_trace_loop`]) drives every trace path — the plain tracer, the
 /// checkpoint recorder, and the checkpoint replayer — over this state, so
 /// a replay resumed from a snapshot of it is exact by construction.
-pub(crate) struct TraceState<M> {
+pub(crate) struct TraceState<'p> {
     pub cpu: Cpu,
-    pub mem: M,
+    pub mem: Memory<'p>,
     pub hierarchy: FuncHierarchy,
     pub stats: RunStats,
     /// Measured ("on"-phase) instructions emitted so far — the `seq` of
@@ -121,11 +123,11 @@ pub(crate) struct TraceState<M> {
 /// state *before* the instruction whose `seq` equals the snapshot's
 /// `emitted`. `sink` receives every emitted instruction and returns
 /// whether to continue (replay stops at an interval boundary this way).
-pub(crate) fn run_trace_loop<M: MemBus>(
+pub(crate) fn run_trace_loop<'p>(
     program: &Program,
     config: &TraceConfig,
-    state: &mut TraceState<M>,
-    mut at_loop_top: impl FnMut(&mut TraceState<M>),
+    state: &mut TraceState<'p>,
+    mut at_loop_top: impl FnMut(&mut TraceState<'p>),
     mut sink: impl FnMut(&DynInst) -> bool,
 ) -> Result<(), ExecError> {
     while !state.cpu.halted() {

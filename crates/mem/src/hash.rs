@@ -1,8 +1,10 @@
 //! A one-multiply hasher for maps keyed by a single `u64`.
 //!
 //! Page numbers, block addresses and bus slots are not attacker-chosen,
-//! and nothing iterates the maps that use this hasher, so SipHash's
-//! flooding resistance and per-map random keys buy nothing there. A
+//! and the one walk over such a map — a checkpoint collecting
+//! [`Memory`](crate::Memory)'s unshared pages — sorts what it collects,
+//! so neither SipHash's flooding resistance nor its per-map random keys
+//! buy anything there, and the hash order cannot reach a result. A
 //! folded 64×64→128 multiply mixes every input bit into the low bits the
 //! table indexes with — block addresses have their low six bits clear, so
 //! a plain truncated multiply would crowd them into 1/64 of the buckets.

@@ -33,5 +33,5 @@ pub use bus::Bus;
 pub use cache::{AccessOutcome, Cache, CacheConfig};
 pub use hash::{U64Hasher, U64Map, U64Set};
 pub use hierarchy::{FuncHierarchy, HierarchyConfig, MemLevel};
-pub use memory::{MemBus, Memory, PAGE_SHIFT as MEM_PAGE_SHIFT, PAGE_SIZE as MEM_PAGE_SIZE};
+pub use memory::{Memory, Page as MemPage, PAGE_SHIFT as MEM_PAGE_SHIFT, PAGE_SIZE as MEM_PAGE_SIZE};
 pub use mshr::MshrFile;

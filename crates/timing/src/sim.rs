@@ -4,7 +4,7 @@ use crate::{BranchPredictor, MachineParams, MemSys, SimError};
 use crate::memsys::MemStats;
 use preexec_core::StaticPThread;
 use preexec_func::exec;
-use preexec_func::{Cpu, SquashReason, PTHREAD_ADDR_LIMIT};
+use preexec_func::{initial_memory, Cpu, SquashReason, PTHREAD_ADDR_LIMIT};
 use preexec_isa::reg::NUM_REGS;
 use preexec_isa::{Inst, Op, OpClass, Pc, Program};
 use preexec_mem::Memory;
@@ -345,10 +345,7 @@ pub fn try_simulate(
     config.machine.try_validate()?;
     let m = &config.machine;
     let mut cpu = Cpu::new(program);
-    let mut mem = Memory::new();
-    for seg in program.data_segments() {
-        mem.write_slice(seg.base, &seg.bytes);
-    }
+    let mut mem = initial_memory(program);
     let mut memsys = MemSys::new(*m);
     memsys.set_perfect_l2(config.perfect_l2);
     let mut bp = BranchPredictor::new();

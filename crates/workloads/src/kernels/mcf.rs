@@ -11,7 +11,7 @@
 //! structure: each 64-byte node holds two successor indices and a
 //! data-dependent selector bit.
 
-use crate::util::{cyclic_permutation, table_bytes, Lcg};
+use crate::util::{cyclic_permutation, put_u64, Lcg};
 use crate::InputSet;
 use preexec_isa::{Program, ProgramBuilder, Reg};
 
@@ -34,12 +34,12 @@ pub fn build(input: InputSet) -> Program {
     let succ_b = cyclic_permutation(nodes, &mut rng);
 
     // Node layout (64 B): [succ_a, succ_b, selector, cost, ...pad].
-    let mut table = vec![0u64; nodes * 8];
+    let mut table = vec![0u8; nodes * 64];
     for i in 0..nodes {
-        table[i * 8] = succ_a[i];
-        table[i * 8 + 1] = succ_b[i];
-        table[i * 8 + 2] = rng.below(2);
-        table[i * 8 + 3] = rng.below(1000);
+        put_u64(&mut table, i * 8, succ_a[i]);
+        put_u64(&mut table, i * 8 + 1, succ_b[i]);
+        put_u64(&mut table, i * 8 + 2, rng.below(2));
+        put_u64(&mut table, i * 8 + 3, rng.below(1000));
     }
     let base = super::table_base(0);
 
@@ -92,7 +92,7 @@ pub fn build(input: InputSet) -> Program {
     b.j("top");
     b.label("done");
     b.halt();
-    b.data(base, table_bytes(&table));
+    b.data(base, table);
     b.build().expect("mcf kernel builds")
 }
 

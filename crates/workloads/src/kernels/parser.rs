@@ -7,7 +7,7 @@
 //! The paper lists `parser` among the scope-sensitive programs: the hash
 //! computation sits far from the loads it feeds.
 
-use crate::util::{table_bytes, Lcg};
+use crate::util::{put_u64, table_bytes, Lcg};
 use crate::InputSet;
 use preexec_isa::{Program, ProgramBuilder, Reg};
 
@@ -37,13 +37,13 @@ pub fn build(input: InputSet) -> Program {
         order.swap(i, j);
     }
     let mut heads = vec![0u64; buckets];
-    let mut arena = vec![0u64; nodes * 4]; // [key, next, val, pad]
+    let mut arena = vec![0u8; nodes * 32]; // [key, next, val, pad]
     for (k, &slot) in order.iter().enumerate() {
         let bucket = k % buckets;
         let addr = arena_base + slot * 32;
-        arena[slot as usize * 4] = rng.next_u64(); // key
-        arena[slot as usize * 4 + 1] = heads[bucket]; // next (old head)
-        arena[slot as usize * 4 + 2] = rng.below(1 << 20); // value
+        put_u64(&mut arena, slot as usize * 4, rng.next_u64()); // key
+        put_u64(&mut arena, slot as usize * 4 + 1, heads[bucket]); // next (old head)
+        put_u64(&mut arena, slot as usize * 4 + 2, rng.below(1 << 20)); // value
         heads[bucket] = addr;
     }
 
@@ -96,7 +96,7 @@ pub fn build(input: InputSet) -> Program {
     b.label("done");
     b.halt();
     b.data(heads_base, table_bytes(&heads));
-    b.data(arena_base, table_bytes(&arena));
+    b.data(arena_base, arena);
     b.build().expect("parser kernel builds")
 }
 

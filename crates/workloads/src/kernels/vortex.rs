@@ -7,7 +7,7 @@
 //! `vortex` is the paper's example of a benchmark that keeps benefiting
 //! from relaxed length constraints (Figure 4).
 
-use crate::util::{table_bytes, Lcg};
+use crate::util::{put_u64, table_bytes, Lcg};
 use crate::InputSet;
 use preexec_isa::{Program, ProgramBuilder, Reg};
 
@@ -36,10 +36,10 @@ pub fn build(input: InputSet) -> Program {
 
     let index: Vec<u64> = (0..n_index).map(|_| rng.below(n_obj as u64)).collect();
     // Object lines: first doubleword holds a field id.
-    let mut objects = vec![0u64; n_obj * 8];
+    let mut objects = vec![0u8; n_obj * 64];
     for i in 0..n_obj {
-        objects[i * 8] = rng.below(n_fld as u64);
-        objects[i * 8 + 1] = rng.below(1 << 30);
+        put_u64(&mut objects, i * 8, rng.below(n_fld as u64));
+        put_u64(&mut objects, i * 8 + 1, rng.below(1 << 30));
     }
     let fields: Vec<u8> = (0..n_fld * 64).map(|_| rng.below(256) as u8).collect();
 
@@ -94,7 +94,7 @@ pub fn build(input: InputSet) -> Program {
     b.label("done");
     b.halt();
     b.data(idx_base, table_bytes(&index));
-    b.data(obj_base, table_bytes(&objects));
+    b.data(obj_base, objects);
     b.data(fld_base, fields);
     b.build().expect("vortex kernel builds")
 }

@@ -6,7 +6,7 @@
 //! `test` netlist is small — in the paper, small enough that the L2 holds
 //! it and the static-profile scenario selects no p-threads.
 
-use crate::util::{table_bytes, Lcg};
+use crate::util::{put_u64, Lcg};
 use crate::InputSet;
 use preexec_isa::{Program, ProgramBuilder, Reg};
 
@@ -31,10 +31,10 @@ pub fn build(input: InputSet) -> Program {
     let pos_base = super::table_base(1);
 
     // Net table: each net names two pins (packed in one doubleword pair).
-    let mut net_tbl = vec![0u64; nets * 2];
+    let mut net_tbl = vec![0u8; nets * 16];
     for i in 0..nets {
-        net_tbl[i * 2] = rng.below(pos_lines as u64);
-        net_tbl[i * 2 + 1] = rng.below(pos_lines as u64);
+        put_u64(&mut net_tbl, i * 2, rng.below(pos_lines as u64));
+        put_u64(&mut net_tbl, i * 2 + 1, rng.below(pos_lines as u64));
     }
     let positions: Vec<u8> = (0..pos_lines * 64).map(|_| rng.below(256) as u8).collect();
 
@@ -89,7 +89,7 @@ pub fn build(input: InputSet) -> Program {
     b.j("top");
     b.label("done");
     b.halt();
-    b.data(net_base, table_bytes(&net_tbl));
+    b.data(net_base, net_tbl);
     b.data(pos_base, positions);
     b.build().expect("vpr.p kernel builds")
 }

@@ -44,6 +44,13 @@ pub fn cyclic_permutation(n: usize, rng: &mut Lcg) -> Vec<u64> {
     perm
 }
 
+/// Stores `value` little-endian as doubleword `index` of a byte table.
+/// Kernels fill their data images in place with this, so a build holds
+/// one copy of an image, not a `u64` table plus its serialization.
+pub fn put_u64(table: &mut [u8], index: usize, value: u64) {
+    table[index * 8..index * 8 + 8].copy_from_slice(&value.to_le_bytes());
+}
+
 /// Serializes a `u64` table into little-endian bytes.
 pub fn table_bytes(values: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 8);
@@ -88,6 +95,14 @@ mod tests {
         }
         assert_eq!(cur, 0, "must return to start after n hops");
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn put_u64_matches_table_bytes() {
+        let mut b = vec![0u8; 16];
+        put_u64(&mut b, 1, 0x0102);
+        put_u64(&mut b, 0, 1);
+        assert_eq!(b, table_bytes(&[1, 0x0102]));
     }
 
     #[test]
