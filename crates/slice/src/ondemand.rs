@@ -6,75 +6,87 @@
 //! slicer (DESIGN.md §17) inverts the trade: the trace pass records only
 //! periodic checkpoints (see [`preexec_func::try_run_trace_checkpointed`]),
 //! and when a slice is requested the slicer *re-executes* just the
-//! checkpoint intervals the backward traversal actually visits,
+//! checkpoint intervals the backward traversal reaches into,
 //! reconstructing exactly the dependence records the window would have
-//! held. Memory is O(checkpoints + a few intervals of detail); scope is
-//! bounded only by the recorded trace.
+//! held. Resident slice detail is a few intervals' worth whatever the
+//! scope; scope is bounded only by the recorded trace.
 //!
 //! Identity with the windowed extractor is structural, not coincidental:
-//! both feed the same traversal (the window module's `slice_from`), the re-execution runs
-//! the same interpreter the recording run used, and the per-interval
-//! dependence records replicate [`SliceWindow::push`](crate::SliceWindow::push)'s last-writer
-//! updates operation for operation. Dependences that cross an interval
-//! boundary are resolved by walking earlier intervals' summaries
-//! (final register writers + granule last-writers); producers older than
-//! the slicing scope are reported as absent, which the traversal treats
-//! identically to the window's out-of-scope filtering.
+//! both feed the same traversal (the window module's `slice_from`), the
+//! re-execution runs the same interpreter the recording run used, and
+//! both turn each instruction into its dependence record through the same
+//! last-writer `Recorder`.
+//!
+//! **Entry-state resolution.** An interval's dependences are resolved
+//! once, when it is replayed, so a traversal visit is one indexed read of
+//! the detail cache. The slicer keeps an index of the writes of the
+//! intervals replayed so far: for every register and every granule, the
+//! newest writer in each interval that wrote it. A replay seeds the
+//! recorder's registers with the interval's entry state (each register's
+//! newest indexed writer before the interval's first instruction), and a
+//! load reading a granule that no earlier store of the interval covered
+//! looks that granule's newest earlier writer up in the index — one
+//! search of one granule's writers, however many intervals are in scope.
+//!
+//! **The floor.** `slice_from` never follows a producer below its
+//! request's `min_seq`, so once a dependence falls below that it may be
+//! reported as absent or as any older writer. An interval resolved while
+//! the writes of every interval from `floor` up to it are indexed is
+//! therefore exact for every request whose scope starts in interval
+//! `floor` or later. No request that can visit interval `j` starts below
+//! the interval holding `start_j + 1 - scope` — `j`'s fixed floor — so an
+//! interval resolved against its fixed floor is exact for every request.
+//! Before replaying interval `j` for a request whose scope starts in
+//! interval `lo`, the slicer indexes every interval in `lo..j` it has not
+//! indexed yet, oldest first, so each resolves against the ones below it;
+//! `j`'s floor is then `lo`, extended down toward the fixed floor over
+//! intervals still indexed. A request reuses a cached interval only if
+//! that floor is at or below its own `lo`. Requests in trace order never
+//! lower `lo`, so they never re-resolve: an interval is replayed again
+//! only if a slice reaches back to it after the detail cache evicted it.
 
-use crate::window::{granules, slice_from, EntryView, GRANULE_SHIFT};
+use crate::window::{slice_from, EntryView, Recorder};
 use crate::{SliceEntry, SliceError};
-use preexec_func::{DynInst, Replayer};
+use preexec_func::Replayer;
 use preexec_isa::reg::NUM_REGS;
-use preexec_isa::{Inst, Pc};
-use std::collections::{HashMap, VecDeque};
+use preexec_mem::U64Map;
 
-/// How many intervals of full per-instruction detail are cached. The
-/// traversal visits sequence numbers in descending order, so a small
-/// cache behaves like a sliding cursor; the cap (not the scope) bounds
+/// How many intervals of resolved detail are cached, interval `j` in
+/// slot `j % DETAIL_CACHE_INTERVALS`. The traversal visits sequence
+/// numbers in descending order, so the slots behave like a sliding
+/// cursor over consecutive intervals; the cap (not the scope) bounds
 /// resident detail at `DETAIL_CACHE_INTERVALS * checkpoint_every`
 /// instructions.
 const DETAIL_CACHE_INTERVALS: usize = 4;
 
-/// A register dependence as recorded during interval re-execution.
-#[derive(Debug, Clone, Copy)]
-enum RawDep {
-    /// The source register is absent or `r0`.
-    None,
-    /// Produced inside the same interval, at this sequence number.
-    Seq(u64),
-    /// Produced before the interval began: resolve by walking earlier
-    /// intervals' final-writer summaries for this register index.
-    Before(u8),
+/// One detail-cache slot: the resolved dependence records of one interval.
+struct Detail {
+    /// The interval held, or `usize::MAX` when none is.
+    interval: usize,
+    /// The floor the interval was resolved against.
+    floor: usize,
+    views: Vec<EntryView>,
 }
 
-/// A load's memory dependence as recorded during interval re-execution.
-#[derive(Debug, Clone, Copy)]
-enum MemRaw {
-    /// Not a load.
-    None,
-    /// The newest store covering the loaded granules is in-interval.
-    Local(u64),
-    /// No in-interval store covers the granules: resolve by walking
-    /// earlier intervals' granule summaries over this granule range.
-    Earlier { first: u64, last: u64 },
+/// The newest writer in the ascending `writers` older than `before`.
+fn newest_before(writers: &[u64], before: u64) -> Option<u64> {
+    match writers.last() {
+        Some(&s) if s < before => Some(s),
+        _ => writers[..writers.partition_point(|&s| s < before)].last().copied(),
+    }
 }
 
-/// One instruction's dependence record within a re-executed interval —
-/// what one [`SliceWindow`] ring slot would have held, with
-/// cross-interval dependences left symbolic.
-#[derive(Debug, Clone, Copy)]
-struct DetailEntry {
-    pc: Pc,
-    inst: Inst,
-    reg_deps: [RawDep; 2],
-    mem_dep: MemRaw,
-}
-
-/// What later intervals need to know about an earlier one: the last
-/// in-interval writer of every register, and of every written granule.
-struct IntervalSummary {
-    reg_writers: [Option<u64>; NUM_REGS],
-    granule_writers: HashMap<u64, u64>,
+/// Adds `seq` to the ascending `writers` unless it is already there.
+fn insert_writer(writers: &mut Vec<u64>, seq: u64) {
+    match writers.last() {
+        Some(&s) if s >= seq => {
+            let at = writers.partition_point(|&s| s < seq);
+            if writers[at] != seq {
+                writers.insert(at, seq);
+            }
+        }
+        _ => writers.push(seq),
+    }
 }
 
 /// Extracts backward slices from a checkpointed trace by re-executing
@@ -83,17 +95,27 @@ struct IntervalSummary {
 /// Slices are byte-identical to [`SliceWindow::slice_latest`](crate::SliceWindow::slice_latest) over the
 /// same trace, scope, and `max_slice_len` (pinned by this crate's tests
 /// and the pipeline's proptests). Requests may arrive in any order;
-/// ascending root order is cheapest because summaries behind the sliding
-/// scope floor are evicted as it advances.
+/// ascending root order is cheapest: it resolves each interval once, and
+/// the index forgets intervals behind the scope floor as it advances.
 pub struct OnDemandSlicer<'a> {
     replayer: Replayer<'a>,
     scope: usize,
     max_slice_len: usize,
-    /// LRU of re-executed interval details, most recent first.
-    details: VecDeque<(usize, Vec<DetailEntry>)>,
-    summaries: HashMap<usize, IntervalSummary>,
+    details: Vec<Detail>,
+    recorder: Recorder,
+    /// Per register, then per granule: the newest writer in every
+    /// indexed interval that wrote it, ascending.
+    reg_writers: Vec<Vec<u64>>,
+    granule_writers: U64Map<Vec<u64>>,
+    /// Whether each interval's writes are in the index.
+    indexed: Vec<bool>,
+    /// No interval below this one is indexed.
+    indexed_from: usize,
+    /// Intervals indexed, and intervals forgotten since the index last
+    /// shed their writes.
+    live: usize,
+    forgotten: usize,
     reexec_insts: u64,
-    resident_insts: usize,
     peak_resident_insts: usize,
 }
 
@@ -117,20 +139,28 @@ impl<'a> OnDemandSlicer<'a> {
         if max_slice_len == 0 {
             return Err(SliceError::ZeroMaxSliceLen);
         }
+        let intervals = replayer.trace().num_checkpoints();
         Ok(OnDemandSlicer {
             replayer,
             scope,
             max_slice_len,
-            details: VecDeque::new(),
-            summaries: HashMap::new(),
+            details: (0..DETAIL_CACHE_INTERVALS)
+                .map(|_| Detail { interval: usize::MAX, floor: 0, views: Vec::new() })
+                .collect(),
+            recorder: Recorder::new(),
+            reg_writers: vec![Vec::new(); NUM_REGS],
+            granule_writers: U64Map::default(),
+            indexed: vec![false; intervals],
+            indexed_from: 0,
+            live: 0,
+            forgotten: 0,
             reexec_insts: 0,
-            resident_insts: 0,
             peak_resident_insts: 0,
         })
     }
 
     /// Total instructions re-executed so far across all interval
-    /// materializations (the time cost of on-demand slicing).
+    /// replays (the time cost of on-demand slicing).
     pub fn reexec_insts(&self) -> u64 {
         self.reexec_insts
     }
@@ -167,180 +197,107 @@ impl<'a> OnDemandSlicer<'a> {
             "slice root {root_seq} beyond recorded trace ({} emitted)",
             trace.emitted()
         );
+        let every = trace.checkpoint_every();
         let min_seq = root_seq.saturating_sub(self.scope as u64 - 1);
-        let lo = (min_seq / trace.checkpoint_every()) as usize;
-        // Records for intervals wholly behind the scope floor can never
-        // be consulted again by this or any later (ascending) request.
-        self.summaries.retain(|&j, _| j >= lo);
-        self.details.retain(|&(j, _)| j >= lo);
-        self.resident_insts = self.details.iter().map(|(_, d)| d.len()).sum();
-        slice_from(root_seq, min_seq, self.max_slice_len, |seq| self.entry_view(seq, lo))
+        let lo = (min_seq / every) as usize;
+        self.forget_below(lo);
+        slice_from(root_seq, min_seq, self.max_slice_len, |seq| {
+            let j = (seq / every) as usize;
+            let slot = j % DETAIL_CACHE_INTERVALS;
+            if self.details[slot].interval != j || self.details[slot].floor > lo {
+                self.resolve(j, lo)?;
+            }
+            Ok(self.details[slot].views[(seq - j as u64 * every) as usize])
+        })
     }
 
-    /// The fully resolved dependence record for `seq`, for the traversal.
-    fn entry_view(&mut self, seq: u64, lo: usize) -> Result<EntryView, SliceError> {
-        let j = (seq / self.replayer.trace().checkpoint_every()) as usize;
-        let e = self.detail_entry(j, seq)?;
-        let mut reg_deps = [None; 2];
-        for (slot, raw) in e.reg_deps.into_iter().enumerate() {
-            reg_deps[slot] = match raw {
-                RawDep::None => None,
-                RawDep::Seq(s) => Some(s),
-                RawDep::Before(r) => self.lookback_reg(r as usize, j, lo)?,
-            };
-        }
-        let mem_dep = match e.mem_dep {
-            MemRaw::None => None,
-            MemRaw::Local(s) => Some(s),
-            MemRaw::Earlier { first, last } => self.lookback_mem(first, last, j, lo)?,
-        };
-        Ok(EntryView { pc: e.pc, inst: e.inst, reg_deps, mem_dep })
-    }
-
-    /// The newest writer of register index `r` in intervals `lo..from`,
-    /// scanning backward from the nearest.
-    fn lookback_reg(
-        &mut self,
-        r: usize,
-        from: usize,
-        lo: usize,
-    ) -> Result<Option<u64>, SliceError> {
-        for j in (lo..from).rev() {
-            self.ensure_summary(j)?;
-            let summary = self.summaries.get(&j).expect("summary just ensured");
-            if let Some(s) = summary.reg_writers[r] {
-                return Ok(Some(s));
+    /// Brings interval `j` into the detail cache, exact for a request
+    /// whose scope starts in interval `lo`: replays every interval in
+    /// `lo..j` not yet indexed, oldest first, then `j`.
+    fn resolve(&mut self, j: usize, lo: usize) -> Result<(), SliceError> {
+        for m in lo..j {
+            if !self.indexed[m] {
+                self.replay(m, lo)?;
             }
         }
-        Ok(None)
+        self.replay(j, lo)
     }
 
-    /// The newest store covering any granule in `first..=last` in
-    /// intervals `lo..from`. The first interval (scanning backward) with
-    /// any covering store holds the newest such store — sequence numbers
-    /// in earlier intervals are strictly smaller.
-    fn lookback_mem(
-        &mut self,
-        first: u64,
-        last: u64,
-        from: usize,
-        lo: usize,
-    ) -> Result<Option<u64>, SliceError> {
-        for j in (lo..from).rev() {
-            self.ensure_summary(j)?;
-            let summary = self.summaries.get(&j).expect("summary just ensured");
-            let hit = (first..=last)
-                .filter_map(|g| summary.granule_writers.get(&g).copied())
-                .max();
-            if hit.is_some() {
-                return Ok(hit);
-            }
-        }
-        Ok(None)
-    }
-
-    /// The detail entry for `seq` (interval `j`), re-executing the
-    /// interval if its detail is not cached.
-    fn detail_entry(&mut self, j: usize, seq: u64) -> Result<DetailEntry, SliceError> {
-        if !self.details.iter().any(|&(i, _)| i == j) {
-            self.materialize(j)?;
-        }
-        let pos = self
-            .details
-            .iter()
-            .position(|&(i, _)| i == j)
-            .expect("interval just materialized");
-        if pos != 0 {
-            let entry = self.details.remove(pos).expect("position just found");
-            self.details.push_front(entry);
-        }
-        let off = (seq - self.replayer.trace().interval_start(j)) as usize;
-        Ok(self.details[0].1[off])
-    }
-
-    fn ensure_summary(&mut self, j: usize) -> Result<(), SliceError> {
-        if self.summaries.contains_key(&j) {
-            return Ok(());
-        }
-        self.materialize(j)
-    }
-
-    /// Re-executes interval `j` from its checkpoint, recording both the
-    /// per-instruction detail and the interval summary.
-    fn materialize(&mut self, j: usize) -> Result<(), SliceError> {
+    /// Re-executes interval `j` from its checkpoint into its detail slot,
+    /// resolving it against the index, and indexes its writes. Every
+    /// interval in `lo..j` must be indexed.
+    fn replay(&mut self, j: usize, lo: usize) -> Result<(), SliceError> {
         let trace = self.replayer.trace();
-        let start = trace.interval_start(j);
-        let end = trace.interval_end(j);
-        let mut detail: Vec<DetailEntry> = Vec::with_capacity((end - start) as usize);
-        let mut reg_writers: [Option<u64>; NUM_REGS] = [None; NUM_REGS];
-        let mut granule_writers: HashMap<u64, u64> = HashMap::new();
-        self.replayer.try_replay(j, |d| {
-            detail.push(record(d, &mut reg_writers, &mut granule_writers));
+        let (start, end) = (trace.interval_start(j), trace.interval_end(j));
+        let fixed_floor = (start.saturating_sub(self.scope as u64 - 1) / trace.checkpoint_every()) as usize;
+        let mut floor = lo;
+        while floor > fixed_floor && self.indexed[floor - 1] {
+            floor -= 1;
+        }
+
+        let OnDemandSlicer { replayer, details, recorder, reg_writers, granule_writers, .. } = self;
+        for (r, writers) in recorder.regs.iter_mut().zip(reg_writers.iter()) {
+            *r = newest_before(writers, start);
+        }
+        recorder.granules.clear();
+        let detail = &mut details[j % DETAIL_CACHE_INTERVALS];
+        detail.interval = usize::MAX;
+        detail.views.clear();
+        replayer.try_replay(j, |d| {
+            let earlier = |g| granule_writers.get(&g).and_then(|w| newest_before(w, start));
+            detail.views.push(recorder.record(d, earlier));
             d.seq + 1 < end
         })?;
-        self.reexec_insts += detail.len() as u64;
-        self.resident_insts += detail.len();
-        self.summaries
-            .entry(j)
-            .or_insert(IntervalSummary { reg_writers, granule_writers });
-        self.details.push_front((j, detail));
-        while self.details.len() > DETAIL_CACHE_INTERVALS {
-            if let Some((_, dropped)) = self.details.pop_back() {
-                self.resident_insts -= dropped.len();
+        detail.interval = j;
+        detail.floor = floor;
+        self.reexec_insts += detail.views.len() as u64;
+        let resident = details.iter().map(|d| d.views.len()).sum::<usize>();
+        self.peak_resident_insts = self.peak_resident_insts.max(resident);
+
+        if !self.indexed[j] {
+            for (r, writers) in recorder.regs.iter().zip(reg_writers.iter_mut()) {
+                if let Some(s) = r.filter(|&s| s >= start) {
+                    insert_writer(writers, s);
+                }
             }
+            for (&g, &s) in &recorder.granules {
+                insert_writer(granule_writers.entry(g).or_default(), s);
+            }
+            self.indexed[j] = true;
+            self.indexed_from = self.indexed_from.min(j);
+            self.live += 1;
         }
-        self.peak_resident_insts = self.peak_resident_insts.max(self.resident_insts);
         Ok(())
     }
-}
 
-/// Replicates [`SliceWindow::push`](crate::SliceWindow::push)'s last-writer bookkeeping for one
-/// instruction, against interval-local maps: sources are read before the
-/// destination is recorded (self-referencing instructions depend on the
-/// previous producer), and a store's granules are recorded after its own
-/// dependences are read.
-fn record(
-    d: &DynInst,
-    reg_writers: &mut [Option<u64>; NUM_REGS],
-    granule_writers: &mut HashMap<u64, u64>,
-) -> DetailEntry {
-    let mut reg_deps = [RawDep::None; 2];
-    for (slot, reg) in [d.inst.rs1, d.inst.rs2].into_iter().enumerate() {
-        if let Some(r) = reg {
-            if !r.is_zero() {
-                reg_deps[slot] = match reg_writers[r.index()] {
-                    Some(s) => RawDep::Seq(s),
-                    None => RawDep::Before(r.index() as u8),
-                };
+    /// Forgets the intervals below `lo`, which no request in trace order
+    /// reaches again, and sheds their writes from the index once the
+    /// forgotten intervals outnumber the live ones.
+    fn forget_below(&mut self, lo: usize) {
+        if lo <= self.indexed_from {
+            return;
+        }
+        for indexed in &mut self.indexed[self.indexed_from..lo] {
+            if std::mem::take(indexed) {
+                self.live -= 1;
+                self.forgotten += 1;
             }
         }
-    }
-    let mut mem_dep = MemRaw::None;
-    if d.inst.op.is_load() {
-        let addr = d.addr.expect("load has address");
-        let width = d.inst.op.mem_width().expect("load has width");
-        mem_dep = match granules(addr, width)
-            .filter_map(|g| granule_writers.get(&g).copied())
-            .max()
-        {
-            Some(s) => MemRaw::Local(s),
-            None => MemRaw::Earlier {
-                first: addr >> GRANULE_SHIFT,
-                last: (addr + width as u64 - 1) >> GRANULE_SHIFT,
-            },
-        };
-    }
-    if let Some(def) = d.inst.def() {
-        reg_writers[def.index()] = Some(d.seq);
-    }
-    if d.inst.op.is_store() {
-        let addr = d.addr.expect("store has address");
-        let width = d.inst.op.mem_width().expect("store has width");
-        for g in granules(addr, width) {
-            granule_writers.insert(g, d.seq);
+        self.indexed_from = lo;
+        if self.forgotten > self.live {
+            let every = self.replayer.trace().checkpoint_every();
+            let indexed = &self.indexed;
+            let live = |s: &u64| indexed[(s / every) as usize];
+            for writers in &mut self.reg_writers {
+                writers.retain(live);
+            }
+            self.granule_writers.retain(|_, writers| {
+                writers.retain(live);
+                !writers.is_empty()
+            });
+            self.forgotten = 0;
         }
     }
-    DetailEntry { pc: d.pc, inst: d.inst, reg_deps, mem_dep }
 }
 
 #[cfg(test)]
@@ -455,6 +412,46 @@ mod tests {
         let _ = od.try_slice_at(emitted - 1).unwrap();
         assert!(
             od.peak_resident_insts() <= (DETAIL_CACHE_INTERVALS as u64) * 8,
+            "peak {} exceeds cache bound",
+            od.peak_resident_insts()
+        );
+    }
+
+    #[test]
+    fn trace_order_replays_each_interval_once() {
+        // Scope spans eight intervals. The workload's miss slices reach
+        // back at most 31 iterations of 12 instructions, under three
+        // intervals, so the detail cache holds every interval a slice
+        // revisits and nothing is replayed twice.
+        let p = workload();
+        let config = TraceConfig::default();
+        let every = 128;
+        let scope = 8 * every as usize;
+        let mut roots = Vec::new();
+        let (_, trace) = try_run_trace_checkpointed(&p, &config, every, |d| {
+            if d.is_l2_miss_load() {
+                roots.push(d.seq);
+            }
+        })
+        .unwrap();
+        let mut od =
+            OnDemandSlicer::try_new(Replayer::new(&p, &config, &trace), scope, 32).unwrap();
+        for &seq in &roots {
+            let _ = od.try_slice_at(seq).unwrap();
+        }
+        assert!(od.reexec_insts() <= trace.emitted());
+        // Exactly the intervals from the first slice's floor through the
+        // last slice's root, once each.
+        let first = (roots[0].saturating_sub(scope as u64 - 1) / every) as usize;
+        let last = (roots[roots.len() - 1] / every) as usize;
+        assert_eq!(
+            od.reexec_insts(),
+            trace.interval_end(last) - trace.interval_start(first),
+            "{} roots over intervals {first}..={last}",
+            roots.len()
+        );
+        assert!(
+            od.peak_resident_insts() <= DETAIL_CACHE_INTERVALS as u64 * every,
             "peak {} exceeds cache bound",
             od.peak_resident_insts()
         );

@@ -58,10 +58,23 @@ impl SliceNode {
 /// PCs share nodes, which is what makes p-thread overlap explicit: *"a
 /// parent-child relationship is the only possible source of overlap
 /// between two p-threads"*.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SliceTree {
     root_pc: Pc,
     nodes: Vec<SliceNode>,
+    /// The node path of the previous insertion, root first: most slices
+    /// of one load repeat it, so an insertion follows it while the PCs
+    /// agree before scanning any children.
+    last_path: Vec<NodeId>,
+}
+
+impl fmt::Debug for SliceTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SliceTree")
+            .field("root_pc", &self.root_pc)
+            .field("nodes", &self.nodes)
+            .finish()
+    }
 }
 
 impl SliceTree {
@@ -79,6 +92,7 @@ impl SliceTree {
                 dep_depths: Vec::new(),
                 dist_sum: 0,
             }],
+            last_path: vec![0],
         }
     }
 
@@ -167,12 +181,17 @@ impl SliceTree {
             self.nodes[0].dep_depths = slice[0].dep_positions.to_vec();
         }
         let mut cur: NodeId = 0;
+        let mut on_last_path = true;
         for (depth, entry) in slice.iter().enumerate().skip(1) {
-            let child = self.nodes[cur]
-                .children
-                .iter()
-                .copied()
-                .find(|&c| self.nodes[c].pc == entry.pc);
+            // Children have distinct PCs, so the previous path's node is
+            // the child a scan would find.
+            let child = match self.last_path.get(depth) {
+                Some(&c) if on_last_path && self.nodes[c].pc == entry.pc => Some(c),
+                _ => {
+                    on_last_path = false;
+                    self.nodes[cur].children.iter().copied().find(|&c| self.nodes[c].pc == entry.pc)
+                }
+            };
             let child = match child {
                 Some(c) => c,
                 None => {
@@ -193,8 +212,13 @@ impl SliceTree {
             };
             self.nodes[child].dc_ptcm += 1;
             self.nodes[child].dist_sum += entry.dist;
+            if !on_last_path {
+                self.last_path.truncate(depth);
+                self.last_path.push(child);
+            }
             cur = child;
         }
+        self.last_path.truncate(slice.len());
     }
 
     /// The raw distance sum backing [`SliceNode::dist_pl`] (serialization).
@@ -399,6 +423,61 @@ mod tests {
     fn wrong_root_rejected() {
         let mut t = SliceTree::new(9, Inst::load(Op::Lw, Reg::new(8), Reg::new(7), 0));
         t.insert_slice(&[entry(3, 0, &[])]);
+    }
+
+    /// The insertion the last-path fast path replaced: scan each node's
+    /// children for the entry's PC.
+    fn reference_insert(t: &mut SliceTree, slice: &[SliceEntry]) {
+        t.nodes[0].dc_ptcm += 1;
+        if t.nodes[0].dep_depths.is_empty() {
+            t.nodes[0].dep_depths = slice[0].dep_positions.to_vec();
+        }
+        let mut cur: NodeId = 0;
+        for (depth, entry) in slice.iter().enumerate().skip(1) {
+            let found = t.nodes[cur].children.iter().copied().find(|&c| t.nodes[c].pc == entry.pc);
+            let child = found.unwrap_or_else(|| {
+                let id = t.nodes.len();
+                t.nodes.push(SliceNode {
+                    pc: entry.pc,
+                    inst: entry.inst,
+                    depth: depth as u32,
+                    parent: Some(cur),
+                    children: Vec::new(),
+                    dc_ptcm: 0,
+                    dep_depths: entry.dep_positions.to_vec(),
+                    dist_sum: 0,
+                });
+                t.nodes[cur].children.push(id);
+                id
+            });
+            t.nodes[child].dc_ptcm += 1;
+            t.nodes[child].dist_sum += entry.dist;
+            cur = child;
+        }
+    }
+
+    proptest::proptest! {
+        /// Slices drawn from a few base paths, truncated and with one PC
+        /// swapped, so consecutive insertions share prefixes, diverge,
+        /// shorten and lengthen: the fast path builds the tree the
+        /// children scan does, node for node.
+        #[test]
+        fn fast_path_matches_children_scan(
+            draws in proptest::collection::vec((0u32..3, 1usize..12, 0usize..16, 0u32..3), 1..80),
+        ) {
+            let mut fast = SliceTree::new(9, root_entry(&[]).inst);
+            let mut scan = fast.clone();
+            for (base, len, swap_at, swap_pc) in draws {
+                let mut slice = vec![root_entry(&[1])];
+                for depth in 1..len {
+                    let pc = if depth == swap_at { 20 + swap_pc } else { base + depth as u32 };
+                    slice.push(entry(pc, depth as u64 * 3, &[]));
+                }
+                fast.insert_slice(&slice);
+                reference_insert(&mut scan, &slice);
+                proptest::prop_assert_eq!(format!("{fast:?}"), format!("{scan:?}"));
+            }
+        }
     }
 
     #[test]

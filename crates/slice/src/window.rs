@@ -5,8 +5,9 @@ use crate::SliceError;
 use preexec_func::DynInst;
 use preexec_isa::reg::NUM_REGS;
 use preexec_isa::{Inst, Pc};
+use preexec_mem::U64Map;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::ops::Deref;
 
@@ -100,29 +101,67 @@ impl fmt::Debug for DepPositions {
     }
 }
 
-#[derive(Debug, Clone)]
-struct WindowEntry {
-    seq: u64,
-    pc: Pc,
-    inst: Inst,
-    /// Sequence numbers of the in-window producers of each register source.
-    reg_deps: [Option<u64>; 2],
-    /// For loads: sequence number of the in-window store that produced the
-    /// loaded value, if any.
-    mem_dep: Option<u64>,
-}
-
 /// Memory dependences are tracked at 8-byte-granule granularity: precise
 /// enough for the framework (whose store-load pairs are word/doubleword
 /// scalar round-trips) and compact enough to track a whole working set.
-/// Shared with the on-demand slicer, whose interval summaries must use
-/// the same granularity to resolve the same dependences.
-pub(crate) const GRANULE_SHIFT: u32 = 3;
+const GRANULE_SHIFT: u32 = 3;
 
-pub(crate) fn granules(addr: u64, width: u8) -> impl Iterator<Item = u64> {
+fn granules(addr: u64, width: u8) -> impl Iterator<Item = u64> {
     let first = addr >> GRANULE_SHIFT;
     let last = (addr + width as u64 - 1) >> GRANULE_SHIFT;
     first..=last
+}
+
+/// Last-writer bookkeeping: the newest writer of every register and of
+/// every granule a recorded store covered. It turns each dynamic
+/// instruction into its dependence record; the window feeds it the whole
+/// trace, the on-demand slicer one replayed interval at a time.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    pub(crate) regs: [Option<u64>; NUM_REGS],
+    pub(crate) granules: U64Map<u64>,
+}
+
+impl Recorder {
+    pub(crate) fn new() -> Recorder {
+        Recorder { regs: [None; NUM_REGS], granules: U64Map::default() }
+    }
+
+    /// The dependence record of `d`, after which `d`'s own writes are
+    /// recorded: sources are read before the destination is written (a
+    /// self-referencing instruction depends on the previous producer),
+    /// and a store's granules are written after its sources are read. A
+    /// load takes the newest writer over its granules; `earlier(g)`
+    /// answers for a granule no recorded store covered.
+    pub(crate) fn record(&mut self, d: &DynInst, earlier: impl Fn(u64) -> Option<u64>) -> EntryView {
+        let mut reg_deps = [None; 2];
+        for (slot, reg) in [d.inst.rs1, d.inst.rs2].into_iter().enumerate() {
+            if let Some(r) = reg {
+                if !r.is_zero() {
+                    reg_deps[slot] = self.regs[r.index()];
+                }
+            }
+        }
+        let mut mem_dep = None;
+        if d.inst.op.is_load() {
+            let addr = d.addr.expect("load has address");
+            let width = d.inst.op.mem_width().expect("load has width");
+            mem_dep = granules(addr, width)
+                .filter_map(|g| self.granules.get(&g).copied().or_else(|| earlier(g)))
+                .max();
+        }
+        if let Some(def) = d.inst.def() {
+            self.regs[def.index()] = Some(d.seq);
+        }
+        if d.inst.op.is_store() {
+            let addr = d.addr.expect("store has address");
+            let width = d.inst.op.mem_width().expect("store has width");
+            for g in granules(addr, width) {
+                self.granules.insert(g, d.seq);
+            }
+        }
+        EntryView { pc: d.pc, inst: d.inst, reg_deps, mem_dep }
+    }
 }
 
 /// Cap on the ring buffer's *eager* allocation. Scopes up to this size
@@ -227,9 +266,10 @@ pub(crate) fn slice_from(
 #[derive(Debug)]
 pub struct SliceWindow {
     scope: usize,
-    ring: VecDeque<WindowEntry>,
-    reg_writer: [Option<u64>; NUM_REGS],
-    mem_writer: HashMap<u64, u64>,
+    /// The dependence records of the last `scope` instructions, oldest
+    /// first; the newest has sequence number `observed - 1`.
+    ring: VecDeque<EntryView>,
+    writers: Recorder,
     observed: u64,
 }
 
@@ -246,8 +286,7 @@ impl SliceWindow {
         Ok(SliceWindow {
             scope,
             ring: VecDeque::with_capacity(scope.min(MAX_EAGER_RING_CAPACITY)),
-            reg_writer: [None; NUM_REGS],
-            mem_writer: HashMap::new(),
+            writers: Recorder::new(),
             observed: 0,
         })
     }
@@ -281,61 +320,26 @@ impl SliceWindow {
 
     /// The oldest sequence number still in the window.
     fn min_seq(&self) -> u64 {
-        self.ring.front().map_or(u64::MAX, |e| e.seq)
+        self.observed - self.ring.len() as u64
     }
 
     /// Pushes a dynamic instruction into the window, recording its
-    /// dependences and updating the last-writer maps.
+    /// dependences and updating the last-writer maps. Instructions must
+    /// arrive in trace order, every one of them.
     pub fn push(&mut self, d: &DynInst) {
-        let mut reg_deps = [None; 2];
-        for (slot, reg) in [d.inst.rs1, d.inst.rs2].into_iter().enumerate() {
-            if let Some(r) = reg {
-                if !r.is_zero() {
-                    reg_deps[slot] = self.reg_writer[r.index()];
-                }
-            }
-        }
-        let mut mem_dep = None;
-        if d.inst.op.is_load() {
-            let addr = d.addr.expect("load has address");
-            let width = d.inst.op.mem_width().expect("load has width");
-            mem_dep = granules(addr, width)
-                .filter_map(|g| self.mem_writer.get(&g).copied())
-                .max();
-        }
-        if let Some(def) = d.inst.def() {
-            self.reg_writer[def.index()] = Some(d.seq);
-        }
-        if d.inst.op.is_store() {
-            let addr = d.addr.expect("store has address");
-            let width = d.inst.op.mem_width().expect("store has width");
-            for g in granules(addr, width) {
-                self.mem_writer.insert(g, d.seq);
-            }
-        }
+        debug_assert!(self.ring.is_empty() || d.seq == self.observed, "pushes are consecutive");
         if self.ring.len() == self.scope {
             self.ring.pop_front();
         }
-        self.ring.push_back(WindowEntry { seq: d.seq, pc: d.pc, inst: d.inst, reg_deps, mem_dep });
+        self.ring.push_back(self.writers.record(d, |_| None));
+        self.observed = d.seq + 1;
 
         // Periodically drop memory-writer entries that fell out of scope so
         // the map stays proportional to the write working set of the window.
-        self.observed += 1;
         if self.observed.is_multiple_of(self.scope as u64 * 16) {
             let min = self.min_seq();
-            self.mem_writer.retain(|_, &mut s| s >= min);
+            self.writers.granules.retain(|_, &mut s| s >= min);
         }
-    }
-
-    fn entry(&self, seq: u64) -> Option<&WindowEntry> {
-        let min = self.min_seq();
-        if seq < min {
-            return None;
-        }
-        let idx = (seq - min) as usize;
-        let e = self.ring.get(idx)?;
-        debug_assert_eq!(e.seq, seq);
-        Some(e)
     }
 
     /// Extracts the backward data-dependence slice of the most recently
@@ -366,13 +370,11 @@ impl SliceWindow {
     /// Returns [`SliceError::EmptyWindow`] if no instruction has been
     /// pushed yet.
     pub fn try_slice_latest(&self, max_len: usize) -> Result<Vec<SliceEntry>, SliceError> {
-        let root = self.ring.back().ok_or(SliceError::EmptyWindow)?;
-        let root_seq = root.seq;
+        if self.ring.is_empty() {
+            return Err(SliceError::EmptyWindow);
+        }
         let min_seq = self.min_seq();
-        slice_from(root_seq, min_seq, max_len, |seq| {
-            let e = self.entry(seq).expect("slice seq within window");
-            Ok(EntryView { pc: e.pc, inst: e.inst, reg_deps: e.reg_deps, mem_dep: e.mem_dep })
-        })
+        slice_from(self.observed - 1, min_seq, max_len, |seq| Ok(self.ring[(seq - min_seq) as usize]))
     }
 }
 
